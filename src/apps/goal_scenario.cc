@@ -7,7 +7,6 @@
 #include "src/apps/experiments.h"
 #include "src/fault/fault_injector.h"
 #include "src/net/bandwidth_monitor.h"
-#include "src/odyssey/warden.h"
 #include "src/powerscope/online_monitor.h"
 #include "src/powerscope/smart_battery.h"
 #include "src/util/check.h"
@@ -25,15 +24,9 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   }
   const bool disturbed = !options.fault_plan.empty();
   if (options.rpc_loss_probability > 0.0 || disturbed) {
-    odnet::RpcConfig rpc;
+    odnet::RpcConfig rpc =
+        disturbed ? DegradationRpcConfig() : odnet::RpcConfig{};
     rpc.loss_probability = options.rpc_loss_probability;
-    if (disturbed) {
-      // Bounded retransmission and a per-call deadline: liveness under
-      // outages (same wiring as the fault scenario).
-      rpc.retry_timeout = options.retry_timeout;
-      rpc.max_retries = options.max_retries;
-      rpc.deadline = options.rpc_deadline;
-    }
     bed.viceroy().rpc().set_config(rpc);
   }
 
@@ -42,7 +35,6 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   // are registered — the goal director owns routine fidelity decisions here.
   std::unique_ptr<odnet::BandwidthMonitor> bw_monitor;
   if (disturbed) {
-    bed.viceroy().set_recovery_hysteresis(options.recovery_hysteresis);
     bw_monitor = std::make_unique<odnet::BandwidthMonitor>(
         &bed.sim(), &bed.link(), odnet::BandwidthMonitorConfig{});
     bw_monitor->set_health_callback(
@@ -93,18 +85,8 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
 
   std::unique_ptr<odfault::FaultInjector> injector;
   if (disturbed) {
-    odfault::FaultTargets targets;
-    targets.link = &bed.link();
-    targets.rpc = &bed.viceroy().rpc();
-    targets.pm = &bed.laptop().power_manager();
-    for (const char* data_type : {"video", "speech", "map", "web"}) {
-      odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
-      if (warden != nullptr) {
-        targets.servers.push_back(warden->server());
-      }
-    }
-    targets.monitor = monitor.get();
-    injector = std::make_unique<odfault::FaultInjector>(&bed.sim(), targets);
+    injector = std::make_unique<odfault::FaultInjector>(
+        &bed.sim(), BedFaultTargets(bed, monitor.get()));
   }
 
   // Workload.
@@ -230,23 +212,9 @@ double MeasurePinnedLifetime(double initial_joules, bool lowest_fidelity,
                                       seed ^ 0xf00dULL);
   std::unique_ptr<odfault::FaultInjector> injector;
   if (!fault_plan.empty()) {
-    odnet::RpcConfig rpc;
-    rpc.retry_timeout = odsim::SimDuration::Millis(500);
-    rpc.max_retries = 5;
-    rpc.deadline = odsim::SimDuration::Seconds(10);
-    bed.viceroy().rpc().set_config(rpc);
-    odfault::FaultTargets targets;
-    targets.link = &bed.link();
-    targets.rpc = &bed.viceroy().rpc();
-    targets.pm = &bed.laptop().power_manager();
-    for (const char* data_type : {"video", "speech", "map", "web"}) {
-      odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
-      if (warden != nullptr) {
-        targets.servers.push_back(warden->server());
-      }
-    }
-    targets.monitor = &idle_monitor;
-    injector = std::make_unique<odfault::FaultInjector>(&bed.sim(), targets);
+    bed.viceroy().rpc().set_config(DegradationRpcConfig());
+    injector = std::make_unique<odfault::FaultInjector>(
+        &bed.sim(), BedFaultTargets(bed, &idle_monitor));
   }
   Settle(bed);
   if (injector != nullptr) {

@@ -81,11 +81,6 @@ struct GoalScenarioOptions {
   // monitor driving the viceroy's outage clamp.  Telemetry fault kinds
   // target the power monitor feeding the goal director.
   odfault::FaultPlan fault_plan;
-  odsim::SimDuration rpc_deadline = odsim::SimDuration::Seconds(10);
-  int max_retries = 5;
-  odsim::SimDuration retry_timeout = odsim::SimDuration::Millis(500);
-  // Consecutive healthy bandwidth estimates before the outage clamp lifts.
-  int recovery_hysteresis = 3;
 
   // Optional 1 Hz probe while the scenario runs — the chaos soak's hook
   // for invariant checks (energy conservation, monotone drain, ...).

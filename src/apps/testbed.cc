@@ -39,6 +39,30 @@ TestBed::TestBed(const Options& options) : rng_(options.seed) {
 
 TestBed::~TestBed() = default;
 
+odnet::RpcConfig DegradationRpcConfig() {
+  odnet::RpcConfig rpc;
+  rpc.retry_timeout = odsim::SimDuration::Millis(500);
+  rpc.max_retries = 5;
+  rpc.deadline = odsim::SimDuration::Seconds(10);
+  return rpc;
+}
+
+odfault::FaultTargets BedFaultTargets(TestBed& bed,
+                                      odscope::PowerMonitor* monitor) {
+  odfault::FaultTargets targets;
+  targets.link = &bed.link();
+  targets.rpc = &bed.viceroy().rpc();
+  targets.pm = &bed.laptop().power_manager();
+  for (const char* data_type : {"video", "speech", "map", "web"}) {
+    odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
+    if (warden != nullptr) {
+      targets.servers.push_back(warden->server());
+    }
+  }
+  targets.monitor = monitor;
+  return targets;
+}
+
 void TestBed::SetHardwarePm(bool enabled) {
   laptop_->power_manager().SetHardwarePmEnabled(enabled);
   arbiter_->set_off_when_idle(enabled);

@@ -17,7 +17,9 @@
 #include "src/apps/speech_recognizer.h"
 #include "src/apps/video_player.h"
 #include "src/apps/web_browser.h"
+#include "src/fault/fault_injector.h"
 #include "src/net/link.h"
+#include "src/net/rpc.h"
 #include "src/odyssey/viceroy.h"
 #include "src/power/thinkpad560x.h"
 #include "src/powerscope/trace_recorder.h"
@@ -132,6 +134,16 @@ class TestBed {
   std::unique_ptr<MapViewer> map_;
   std::unique_ptr<odscope::TraceRecorder> tracer_;
 };
+
+// Graceful-degradation transport settings for runs under a fault plan:
+// bounded retransmission (500 ms first backoff, 5 retries) plus a 10 s
+// per-call deadline, so an outage can never park a fetch forever.
+odnet::RpcConfig DegradationRpcConfig();
+
+// Fault-injection targets on `bed`: its link, RPC transport, power manager
+// and the four wardens' servers.  Telemetry kinds land on `monitor`.
+odfault::FaultTargets BedFaultTargets(TestBed& bed,
+                                      odscope::PowerMonitor* monitor);
 
 }  // namespace odapps
 

@@ -15,6 +15,10 @@
 namespace odfault {
 namespace {
 
+// Think time between pages, maps and utterances; short so the loops
+// exercise the network often enough to meet faults.
+constexpr double kThinkSeconds = 2.0;
+
 int WardenFailures(odyssey::Viceroy& viceroy, const char* data_type) {
   odyssey::Warden* warden = viceroy.FindWarden(data_type);
   return warden == nullptr ? 0 : warden->failed_fetches();
@@ -26,18 +30,10 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
   odapps::TestBed bed(odapps::TestBed::Options{
       .seed = options.seed, .hw_pm = true, .link = {}, .trace = options.trace});
 
-  // Bounded retransmission and a per-call deadline: the liveness half of
-  // graceful degradation.  Without the deadline an outage would park every
-  // fetch on the dead link's queue forever.
-  odnet::RpcConfig rpc;
-  rpc.retry_timeout = options.retry_timeout;
-  rpc.max_retries = options.max_retries;
-  rpc.deadline = options.rpc_deadline;
-  bed.viceroy().rpc().set_config(rpc);
-  bed.viceroy().set_recovery_hysteresis(options.recovery_hysteresis);
+  bed.viceroy().rpc().set_config(odapps::DegradationRpcConfig());
 
-  bed.web().set_think_seconds(options.think_seconds);
-  bed.map().set_think_seconds(options.think_seconds);
+  bed.web().set_think_seconds(kThinkSeconds);
+  bed.map().set_think_seconds(kThinkSeconds);
 
   // Bandwidth expectations drive ordinary adaptation when the channel
   // merely degrades; the health callback drives the clamp when it dies.
@@ -55,24 +51,14 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
         app, odyssey::ResourceId::kNetworkBandwidth, 8.0e5, 1.6e6);
   }
 
-  FaultTargets targets;
-  targets.link = &bed.link();
-  targets.rpc = &bed.viceroy().rpc();
-  targets.pm = &bed.laptop().power_manager();
-  for (const char* data_type : {"video", "speech", "map", "web"}) {
-    odyssey::Warden* warden = bed.viceroy().FindWarden(data_type);
-    if (warden != nullptr) {
-      targets.servers.push_back(warden->server());
-    }
-  }
   // Injection target for telemetry kinds, so any plan the grammar accepts
   // is legal here.  This scenario runs no goal director; the monitor is
   // never started and the faults land on a feed nothing reads.
   odscope::OnlineMonitor idle_monitor(&bed.sim(), &bed.laptop().machine(),
                                       odscope::OnlineMonitorConfig{},
                                       options.seed ^ 0xf00dULL);
-  targets.monitor = &idle_monitor;
-  FaultInjector injector(&bed.sim(), targets);
+  FaultInjector injector(&bed.sim(),
+                         odapps::BedFaultTargets(bed, &idle_monitor));
 
   odapps::Settle(bed);
   monitor.Start();
@@ -111,7 +97,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioOptions& options) {
         odapps::StandardUtterances()[result.utterances_recognized % 4], [&] {
           ++result.utterances_recognized;
           bed.sim().Schedule(
-              odsim::SimDuration::Seconds(options.think_seconds), recognize);
+              odsim::SimDuration::Seconds(kThinkSeconds), recognize);
         });
   };
   recognize();

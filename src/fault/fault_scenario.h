@@ -27,18 +27,6 @@ struct FaultScenarioOptions {
   FaultPlan plan;
   odsim::SimDuration duration = odsim::SimDuration::Seconds(180);
 
-  // Graceful-degradation knobs on the shared RPC transport.
-  odsim::SimDuration rpc_deadline = odsim::SimDuration::Seconds(10);
-  int max_retries = 5;
-  odsim::SimDuration retry_timeout = odsim::SimDuration::Millis(500);
-
-  // Consecutive healthy bandwidth estimates before the outage clamp lifts.
-  int recovery_hysteresis = 3;
-
-  // Think time between pages/maps; short so the loops exercise the network
-  // often enough to meet faults.
-  double think_seconds = 2.0;
-
   // Record the run's per-component power timeline (see
   // TestBed::Options::trace); returned in FaultScenarioResult::trace.
   bool trace = false;

@@ -5,8 +5,7 @@
 // samples with breakdowns, summary mean/stddev/90% CI, cross-trial breakdown
 // means), and named scalar notes.  These files are the machine-readable
 // performance trajectory of the repo and the regression oracle that
-// `odbench diff` (src/harness/artifact_diff.h) and the replay-mode repro
-// tests (src/harness/artifact_replay.h) consume.
+// `odbench diff` (src/harness/artifact_diff.h) consumes.
 //
 // The document contains *measured content only* — deliberately no wall
 // clock and no job count — so an artifact is byte-identical for any --jobs

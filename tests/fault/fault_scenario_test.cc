@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/goal_scenario.h"
+
 namespace odfault {
 namespace {
 
@@ -116,6 +118,20 @@ TEST(FaultScenarioTest, DiskLatencySpikeSlowsRecognitionOnly) {
   EXPECT_LT(spiked.utterances_recognized, clean.utterances_recognized);
   EXPECT_EQ(spiked.failed_fetches, 0);
   EXPECT_EQ(spiked.outage_clamps, 0);
+}
+
+TEST(FaultScenarioTest, OutageChangesPinnedLifetimeExactly) {
+  // The faulted pinned-lifetime run wires the same degradation RPC config
+  // and fault targets as the scenarios; its value is pinned exactly so a
+  // change to that wiring shows up here.
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(FaultPlan::Parse("outage@10+200", &plan, &error)) << error;
+  double clean = odapps::MeasurePinnedLifetime(13500.0, /*lowest=*/false, 83);
+  double faulted =
+      odapps::MeasurePinnedLifetime(13500.0, /*lowest=*/false, 83, plan);
+  EXPECT_EQ(faulted, 1143.0);
+  EXPECT_NE(faulted, clean);
 }
 
 }  // namespace

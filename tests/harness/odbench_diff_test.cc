@@ -64,7 +64,8 @@ TEST(OdbenchDiffTest, DiffFreshRunAgainstGolden) {
   for (const char* name :
        {"fig02_profile", "fig04_power_table", "calibrate", "fig06_video",
         "fig08_speech", "fig10_map", "fig11_map_think", "fig13_web",
-        "fault_sweep"}) {
+        "fig14_web_think", "fig15_concurrency", "fig16_summary",
+        "fig18_zoned", "fault_sweep"}) {
     CommandResult run =
         RunCommand("run " + std::string(name) + " --out " + out_dir);
     ASSERT_EQ(run.exit_code, 0) << run.output;

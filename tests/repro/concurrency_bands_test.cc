@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/experiments.h"
-#include "src/harness/artifact_replay.h"
 
 namespace odapps {
 namespace {
@@ -25,25 +24,10 @@ struct ConcurrencyResults {
   double low_alone, low_video;
 };
 
-// With ODBENCH_ARTIFACT_DIR set, the six energies replay the recorded
-// fig15_concurrency artifact ("<case>/alone" and "<case>/with_video");
-// otherwise each is simulated once per test binary.
+// The six energies, simulated once per test binary.
 const ConcurrencyResults& Results() {
   static const ConcurrencyResults results = [] {
-    const auto& replay = odharness::ArtifactReplay::Env();
-    constexpr char kExp[] = "fig15_concurrency";
     ConcurrencyResults r;
-    if (auto base_alone = replay.SetMean(kExp, "Baseline/alone")) {
-      r.base_alone = *base_alone;
-      r.base_video = replay.SetMean(kExp, "Baseline/with_video").value();
-      r.pm_alone =
-          replay.SetMean(kExp, "Hardware-Only Power Mgmt./alone").value();
-      r.pm_video =
-          replay.SetMean(kExp, "Hardware-Only Power Mgmt./with_video").value();
-      r.low_alone = replay.SetMean(kExp, "Lowest Fidelity/alone").value();
-      r.low_video = replay.SetMean(kExp, "Lowest Fidelity/with_video").value();
-      return r;
-    }
     r.base_alone = RunCompositeExperiment(6, false, false, false, 61).joules;
     r.base_video = RunCompositeExperiment(6, false, false, true, 61).joules;
     r.pm_alone = RunCompositeExperiment(6, false, true, false, 61).joules;

@@ -8,14 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/goal_scenario.h"
-#include "tests/repro/replay_util.h"
 
 namespace odapps {
 namespace {
-
-using odrepro::OrLive;
-
-constexpr char kExp[] = "fig20_goal_summary";
 
 class GoalSweepTest : public ::testing::TestWithParam<double> {};
 
@@ -23,26 +18,6 @@ TEST_P(GoalSweepTest, GoalIsMetWithSmallResidual) {
   GoalScenarioOptions options;
   options.goal = odsim::SimDuration::Seconds(GetParam());
   options.seed = 81;
-  // In replay mode the recorded fig20 set for this goal stands in for the
-  // live run: residual is the set's headline value; goal_met,
-  // elapsed_seconds, and the per-application adaptation counts are recorded
-  // in the trial breakdown.
-  const auto& replay = odharness::ArtifactReplay::Env();
-  const std::string label =
-      "goal_" + std::to_string(static_cast<int>(GetParam()));
-  if (auto residual = replay.SetMean(kExp, label)) {
-    EXPECT_EQ(replay.BreakdownMean(kExp, label, "goal_met").value(), 1.0);
-    EXPECT_NEAR(replay.BreakdownMean(kExp, label, "elapsed_seconds").value(),
-                GetParam(), 1.0);
-    EXPECT_LT(*residual, 0.08 * options.initial_joules);
-    double adaptations =
-        replay.BreakdownMean(kExp, label, "Speech").value_or(0.0) +
-        replay.BreakdownMean(kExp, label, "Video").value_or(0.0) +
-        replay.BreakdownMean(kExp, label, "Map").value_or(0.0) +
-        replay.BreakdownMean(kExp, label, "Web").value_or(0.0);
-    EXPECT_GT(adaptations, 0.0);
-    return;
-  }
   GoalScenarioResult result = RunGoalScenario(options);
   EXPECT_TRUE(result.goal_met);
   EXPECT_NEAR(result.elapsed_seconds, GetParam(), 1.0);
@@ -64,13 +39,8 @@ TEST(GoalBandsTest, PinnedLifetimesBracketTheGoals) {
   // Paper framing: 19:27 at highest fidelity, 27:06 at lowest (12,000 J).
   // Ours: the four goals must lie between the pinned lifetimes so that the
   // tightest goal requires adaptation and the loosest remains feasible.
-  // fig20 records both lifetimes as notes, so replay mode skips the two
-  // pinned simulations.
-  const auto& replay = odharness::ArtifactReplay::Env();
-  double full = OrLive(replay.Note(kExp, "pinned_lifetime_full_seconds"),
-                       [] { return MeasurePinnedLifetime(13500.0, false, 83); });
-  double low = OrLive(replay.Note(kExp, "pinned_lifetime_lowest_seconds"),
-                      [] { return MeasurePinnedLifetime(13500.0, true, 83); });
+  double full = MeasurePinnedLifetime(13500.0, false, 83);
+  double low = MeasurePinnedLifetime(13500.0, true, 83);
   EXPECT_LT(full, 1200.0);
   EXPECT_GT(low, 1560.0);
   // Fidelity range extends lifetime by more than 30%.

@@ -5,37 +5,17 @@
 //   - cropping saves 14-49%;
 //   - cropping + secondary filter saves 36-66% (46-70% below baseline);
 //   - energy is linear in think time, with slope = background power.
-//
-// With ODBENCH_ARTIFACT_DIR set the bands replay the recorded fig10_map
-// ("<map>/<bar>") and fig11_map_think ("<policy>/think<t>") artifacts
-// instead of re-simulating.
 
-#include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/experiments.h"
 #include "src/util/stats.h"
-#include "tests/repro/replay_util.h"
 
 namespace odapps {
 namespace {
-
-using odrepro::OrLive;
-
-constexpr char kFig10[] = "fig10_map";
-constexpr char kFig11[] = "fig11_map_think";
-
-std::string Bar(const MapObject& map, const char* bar) {
-  return std::string(map.name) + "/" + bar;
-}
-
-std::string ThinkCell(const char* policy, double think) {
-  char label[64];
-  std::snprintf(label, sizeof(label), "%s/think%.0f", policy, think);
-  return label;
-}
 
 class MapBandsTest : public ::testing::TestWithParam<int> {};
 
@@ -43,39 +23,22 @@ TEST_P(MapBandsTest, FigureTenRatios) {
   const MapObject& map = StandardMaps()[static_cast<size_t>(GetParam())];
   uint64_t seed = 300 + static_cast<uint64_t>(GetParam());
   constexpr double kThink = 5.0;
-  const auto& replay = odharness::ArtifactReplay::Env();
 
-  double base = OrLive(replay.SetMean(kFig10, Bar(map, "Baseline")), [&] {
-    return RunMapExperiment(map, MapFidelity::kFull, kThink, false, seed)
-        .joules;
-  });
-  double pm = OrLive(
-      replay.SetMean(kFig10, Bar(map, "Hardware-Only Power Mgmt.")), [&] {
-        return RunMapExperiment(map, MapFidelity::kFull, kThink, true, seed)
-            .joules;
-      });
+  double base =
+      RunMapExperiment(map, MapFidelity::kFull, kThink, false, seed).joules;
+  double pm =
+      RunMapExperiment(map, MapFidelity::kFull, kThink, true, seed).joules;
   double minor =
-      OrLive(replay.SetMean(kFig10, Bar(map, "Minor Road Filter")), [&] {
-        return RunMapExperiment(map, MapFidelity::kMinorFilter, kThink, true,
-                                seed)
-            .joules;
-      });
+      RunMapExperiment(map, MapFidelity::kMinorFilter, kThink, true, seed)
+          .joules;
   double secondary =
-      OrLive(replay.SetMean(kFig10, Bar(map, "Secondary Road Filter")), [&] {
-        return RunMapExperiment(map, MapFidelity::kSecondaryFilter, kThink,
-                                true, seed)
-            .joules;
-      });
-  double cropped = OrLive(replay.SetMean(kFig10, Bar(map, "Cropped")), [&] {
-    return RunMapExperiment(map, MapFidelity::kCropped, kThink, true, seed)
-        .joules;
-  });
-  double combined = OrLive(
-      replay.SetMean(kFig10, Bar(map, "Cropped + Secondary Filter")), [&] {
-        return RunMapExperiment(map, MapFidelity::kCroppedSecondary, kThink,
-                                true, seed)
-            .joules;
-      });
+      RunMapExperiment(map, MapFidelity::kSecondaryFilter, kThink, true, seed)
+          .joules;
+  double cropped =
+      RunMapExperiment(map, MapFidelity::kCropped, kThink, true, seed).joules;
+  double combined =
+      RunMapExperiment(map, MapFidelity::kCroppedSecondary, kThink, true, seed)
+          .joules;
 
   EXPECT_GT(pm / base, 0.80) << map.name;
   EXPECT_LT(pm / base, 0.92) << map.name;
@@ -114,25 +77,19 @@ TEST(MapThinkTimeTest, LinearModelFitsAllThreePolicies) {
   // Figure 11: E_t = E_0 + t * P_B fits baseline, hardware-only, and lowest
   // fidelity; the first two diverge, the last two are parallel.
   const MapObject& map = StandardMaps()[0];
-  const auto& replay = odharness::ArtifactReplay::Env();
   std::vector<double> thinks = {0.0, 5.0, 10.0, 20.0};
 
-  auto sweep = [&](const char* policy, MapFidelity fidelity, bool pm) {
+  auto sweep = [&](MapFidelity fidelity, bool pm) {
     std::vector<double> joules;
     for (double think : thinks) {
-      joules.push_back(
-          OrLive(replay.SetMean(kFig11, ThinkCell(policy, think)), [&] {
-            return RunMapExperiment(map, fidelity, think, pm, 31).joules;
-          }));
+      joules.push_back(RunMapExperiment(map, fidelity, think, pm, 31).joules);
     }
     return odutil::FitLine(thinks, joules);
   };
 
-  odutil::LinearFit baseline = sweep("Baseline", MapFidelity::kFull, false);
-  odutil::LinearFit hw =
-      sweep("Hardware-Only Power Mgmt.", MapFidelity::kFull, true);
-  odutil::LinearFit lowest =
-      sweep("Lowest Fidelity", MapFidelity::kCroppedSecondary, true);
+  odutil::LinearFit baseline = sweep(MapFidelity::kFull, false);
+  odutil::LinearFit hw = sweep(MapFidelity::kFull, true);
+  odutil::LinearFit lowest = sweep(MapFidelity::kCroppedSecondary, true);
 
   EXPECT_GT(baseline.r_squared, 0.999);
   EXPECT_GT(hw.r_squared, 0.999);
@@ -150,17 +107,8 @@ TEST(MapThinkTimeTest, LinearModelFitsAllThreePolicies) {
 TEST(MapThinkTimeTest, ManagedSlopeIsRestingBrightPower) {
   // With PM on, think-time draw is display bright + everything else resting.
   const MapObject& map = StandardMaps()[0];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  double e5 = OrLive(
-      replay.SetMean(kFig11, ThinkCell("Hardware-Only Power Mgmt.", 5.0)),
-      [&] {
-        return RunMapExperiment(map, MapFidelity::kFull, 5.0, true, 33).joules;
-      });
-  double e20 = OrLive(
-      replay.SetMean(kFig11, ThinkCell("Hardware-Only Power Mgmt.", 20.0)),
-      [&] {
-        return RunMapExperiment(map, MapFidelity::kFull, 20.0, true, 33).joules;
-      });
+  double e5 = RunMapExperiment(map, MapFidelity::kFull, 5.0, true, 33).joules;
+  double e20 = RunMapExperiment(map, MapFidelity::kFull, 20.0, true, 33).joules;
   double slope = (e20 - e5) / 15.0;
   EXPECT_GT(slope, 6.0);
   EXPECT_LT(slope, 7.2);
@@ -169,16 +117,11 @@ TEST(MapThinkTimeTest, ManagedSlopeIsRestingBrightPower) {
 TEST(MapBandsTest2, CroppingLessEffectiveThanFilteringForSanJose) {
   // "Cropping is less effective than filtering for these samples."
   const MapObject& map = StandardMaps()[0];
-  const auto& replay = odharness::ArtifactReplay::Env();
   double secondary =
-      OrLive(replay.SetMean(kFig10, Bar(map, "Secondary Road Filter")), [&] {
-        return RunMapExperiment(map, MapFidelity::kSecondaryFilter, 5.0, true,
-                                35)
-            .joules;
-      });
-  double cropped = OrLive(replay.SetMean(kFig10, Bar(map, "Cropped")), [&] {
-    return RunMapExperiment(map, MapFidelity::kCropped, 5.0, true, 35).joules;
-  });
+      RunMapExperiment(map, MapFidelity::kSecondaryFilter, 5.0, true, 35)
+          .joules;
+  double cropped =
+      RunMapExperiment(map, MapFidelity::kCropped, 5.0, true, 35).joules;
   EXPECT_GT(cropped, secondary);
 }
 

@@ -5,27 +5,15 @@
 //   - hybrid saves 47-55% at full fidelity and 53-70% reduced;
 //   - lowest fidelity overall is a 69-80% reduction below baseline.
 // Bands widened a few points for the simulated substrate.
-//
-// With ODBENCH_ARTIFACT_DIR set the bands replay the recorded fig08_speech
-// artifact (set labels "<utterance>/<bar>") instead of re-simulating.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/experiments.h"
-#include "tests/repro/replay_util.h"
 
 namespace odapps {
 namespace {
-
-using odrepro::OrLive;
-
-constexpr char kExp[] = "fig08_speech";
-
-std::string Bar(const Utterance& utterance, const char* bar) {
-  return std::string(utterance.name) + "/" + bar;
-}
 
 class SpeechBandsTest : public ::testing::TestWithParam<int> {};
 
@@ -33,47 +21,28 @@ TEST_P(SpeechBandsTest, FigureEightRatios) {
   const Utterance& utterance =
       StandardUtterances()[static_cast<size_t>(GetParam())];
   uint64_t seed = 200 + static_cast<uint64_t>(GetParam());
-  const auto& replay = odharness::ArtifactReplay::Env();
 
-  double base = OrLive(replay.SetMean(kExp, Bar(utterance, "Baseline")), [&] {
-    return RunSpeechExperiment(utterance, SpeechMode::kLocal, false, false,
-                               seed)
-        .joules;
-  });
-  double pm = OrLive(
-      replay.SetMean(kExp, Bar(utterance, "Hardware-Only Power Mgmt.")), [&] {
-        return RunSpeechExperiment(utterance, SpeechMode::kLocal, false, true,
-                                   seed)
-            .joules;
-      });
+  double base = RunSpeechExperiment(utterance, SpeechMode::kLocal, false,
+                                    false, seed)
+                    .joules;
+  double pm =
+      RunSpeechExperiment(utterance, SpeechMode::kLocal, false, true, seed)
+          .joules;
   double reduced =
-      OrLive(replay.SetMean(kExp, Bar(utterance, "Reduced Model")), [&] {
-        return RunSpeechExperiment(utterance, SpeechMode::kLocal, true, true,
-                                   seed)
-            .joules;
-      });
-  double remote = OrLive(replay.SetMean(kExp, Bar(utterance, "Remote")), [&] {
-    return RunSpeechExperiment(utterance, SpeechMode::kRemote, false, true,
-                               seed)
-        .joules;
-  });
-  double remote_reduced = OrLive(
-      replay.SetMean(kExp, Bar(utterance, "Remote Reduced Model")), [&] {
-        return RunSpeechExperiment(utterance, SpeechMode::kRemote, true, true,
-                                   seed)
-            .joules;
-      });
-  double hybrid = OrLive(replay.SetMean(kExp, Bar(utterance, "Hybrid")), [&] {
-    return RunSpeechExperiment(utterance, SpeechMode::kHybrid, false, true,
-                               seed)
-        .joules;
-  });
-  double hybrid_reduced = OrLive(
-      replay.SetMean(kExp, Bar(utterance, "Hybrid Reduced Model")), [&] {
-        return RunSpeechExperiment(utterance, SpeechMode::kHybrid, true, true,
-                                   seed)
-            .joules;
-      });
+      RunSpeechExperiment(utterance, SpeechMode::kLocal, true, true, seed)
+          .joules;
+  double remote =
+      RunSpeechExperiment(utterance, SpeechMode::kRemote, false, true, seed)
+          .joules;
+  double remote_reduced =
+      RunSpeechExperiment(utterance, SpeechMode::kRemote, true, true, seed)
+          .joules;
+  double hybrid =
+      RunSpeechExperiment(utterance, SpeechMode::kHybrid, false, true, seed)
+          .joules;
+  double hybrid_reduced =
+      RunSpeechExperiment(utterance, SpeechMode::kHybrid, true, true, seed)
+          .joules;
 
   EXPECT_GT(pm / base, 0.62) << utterance.name;
   EXPECT_LT(pm / base, 0.70) << utterance.name;
@@ -107,19 +76,12 @@ TEST_P(SpeechBandsTest, HybridShipsFiveTimesLessData) {
   // residency must shrink accordingly versus remote mode.
   const Utterance& utterance =
       StandardUtterances()[static_cast<size_t>(GetParam())];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  double remote_wavelan = OrLive(
-      replay.ComponentMean(kExp, Bar(utterance, "Remote"), "WaveLAN"), [&] {
-        return RunSpeechExperiment(utterance, SpeechMode::kRemote, false, true,
-                                   9)
-            .Component("WaveLAN");
-      });
-  double hybrid_wavelan = OrLive(
-      replay.ComponentMean(kExp, Bar(utterance, "Hybrid"), "WaveLAN"), [&] {
-        return RunSpeechExperiment(utterance, SpeechMode::kHybrid, false, true,
-                                   9)
-            .Component("WaveLAN");
-      });
+  double remote_wavelan =
+      RunSpeechExperiment(utterance, SpeechMode::kRemote, false, true, 9)
+          .Component("WaveLAN");
+  double hybrid_wavelan =
+      RunSpeechExperiment(utterance, SpeechMode::kHybrid, false, true, 9)
+          .Component("WaveLAN");
   EXPECT_LT(hybrid_wavelan, remote_wavelan);
 }
 
@@ -132,27 +94,14 @@ TEST(SpeechBandsTest2, PmSavingsComeFromDisplayDiskAndNetwork) {
   // "The display can be turned off and both the network and disk can be
   // placed in standby mode for the entire duration."
   const Utterance& utterance = StandardUtterances()[2];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  const std::string base_label = Bar(utterance, "Baseline");
-  const std::string pm_label = Bar(utterance, "Hardware-Only Power Mgmt.");
-  double pm_display, pm_disk, base_disk, pm_wavelan, base_wavelan;
-  if (auto display = replay.ComponentMean(kExp, pm_label, "Display")) {
-    pm_display = *display;
-    pm_disk = replay.ComponentMean(kExp, pm_label, "Disk").value();
-    base_disk = replay.ComponentMean(kExp, base_label, "Disk").value();
-    pm_wavelan = replay.ComponentMean(kExp, pm_label, "WaveLAN").value();
-    base_wavelan = replay.ComponentMean(kExp, base_label, "WaveLAN").value();
-  } else {
-    auto base =
-        RunSpeechExperiment(utterance, SpeechMode::kLocal, false, false, 9);
-    auto pm =
-        RunSpeechExperiment(utterance, SpeechMode::kLocal, false, true, 9);
-    pm_display = pm.Component("Display");
-    pm_disk = pm.Component("Disk");
-    base_disk = base.Component("Disk");
-    pm_wavelan = pm.Component("WaveLAN");
-    base_wavelan = base.Component("WaveLAN");
-  }
+  auto base =
+      RunSpeechExperiment(utterance, SpeechMode::kLocal, false, false, 9);
+  auto pm = RunSpeechExperiment(utterance, SpeechMode::kLocal, false, true, 9);
+  double pm_display = pm.Component("Display");
+  double pm_disk = pm.Component("Disk");
+  double base_disk = base.Component("Disk");
+  double pm_wavelan = pm.Component("WaveLAN");
+  double base_wavelan = base.Component("WaveLAN");
   EXPECT_NEAR(pm_display, 0.0, 1e-9);
   EXPECT_LT(pm_disk, base_disk);
   EXPECT_LT(pm_wavelan, base_wavelan);

@@ -4,23 +4,16 @@
 //   - combined with hardware power management: 31-76% (mean 50%) —
 //     "in effect, doubling battery life";
 //   - video shows little variation across data objects; others vary widely.
-//
-// With ODBENCH_ARTIFACT_DIR set the claims replay the recorded fig16_summary
-// artifact: each "<App>/<object>" cell's breakdown records the base/pm/low
-// absolute energies the ratios are computed from.
 
-#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/experiments.h"
 #include "src/util/stats.h"
-#include "tests/repro/replay_util.h"
 
 namespace odapps {
 namespace {
-
-constexpr char kExp[] = "fig16_summary";
 
 struct AppSummary {
   std::vector<double> hw_ratio;        // hw-pm / baseline, per object.
@@ -34,32 +27,10 @@ void AddObject(AppSummary& s, double base, double pm, double low) {
   s.combined_ratio.push_back(low / base);
 }
 
-// The recorded base/pm/low energies of one fig16 cell, or nullopt when
-// replay is off (or the artifact lacks the cell) and the caller must
-// simulate.
-struct Energies {
-  double base, pm, low;
-};
-
-std::optional<Energies> Recorded(const char* app, const std::string& object) {
-  const auto& replay = odharness::ArtifactReplay::Env();
-  const std::string label = std::string(app) + "/" + object;
-  auto base = replay.BreakdownMean(kExp, label, "base");
-  if (!base.has_value()) {
-    return std::nullopt;
-  }
-  return Energies{*base, replay.BreakdownMean(kExp, label, "pm").value(),
-                  replay.BreakdownMean(kExp, label, "low").value()};
-}
-
 AppSummary VideoSummary() {
   AppSummary s;
   for (size_t i = 0; i < 4; ++i) {
     const VideoClip& clip = StandardVideoClips()[i];
-    if (auto e = Recorded("Video", clip.name)) {
-      AddObject(s, e->base, e->pm, e->low);
-      continue;
-    }
     uint64_t seed = 500 + i;
     double base =
         RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, false, seed).joules;
@@ -76,10 +47,6 @@ AppSummary SpeechSummary() {
   AppSummary s;
   for (size_t i = 0; i < 4; ++i) {
     const Utterance& u = StandardUtterances()[i];
-    if (auto e = Recorded("Speech", u.name)) {
-      AddObject(s, e->base, e->pm, e->low);
-      continue;
-    }
     uint64_t seed = 520 + i;
     double base =
         RunSpeechExperiment(u, SpeechMode::kLocal, false, false, seed).joules;
@@ -95,10 +62,6 @@ AppSummary MapSummary() {
   AppSummary s;
   for (size_t i = 0; i < 4; ++i) {
     const MapObject& map = StandardMaps()[i];
-    if (auto e = Recorded("Map", map.name)) {
-      AddObject(s, e->base, e->pm, e->low);
-      continue;
-    }
     uint64_t seed = 540 + i;
     double base = RunMapExperiment(map, MapFidelity::kFull, 5.0, false, seed).joules;
     double pm = RunMapExperiment(map, MapFidelity::kFull, 5.0, true, seed).joules;
@@ -114,10 +77,6 @@ AppSummary WebSummary() {
   AppSummary s;
   for (size_t i = 0; i < 4; ++i) {
     const WebImage& image = StandardWebImages()[i];
-    if (auto e = Recorded("Web", image.name)) {
-      AddObject(s, e->base, e->pm, e->low);
-      continue;
-    }
     uint64_t seed = 560 + i;
     double base =
         RunWebExperiment(image, WebFidelity::kOriginal, 5.0, false, seed).joules;

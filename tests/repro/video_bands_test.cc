@@ -5,61 +5,34 @@
 //   - combined saves 28-30% below hardware-only PM (~35% below baseline).
 // Our asserted bands are the paper's, widened a few points for the
 // simulated substrate; EXPERIMENTS.md records measured values.
-//
-// With ODBENCH_ARTIFACT_DIR set the bands replay the recorded fig06_video
-// artifact (set labels "<clip>/<bar>") instead of re-simulating.
 
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/experiments.h"
-#include "tests/repro/replay_util.h"
 
 namespace odapps {
 namespace {
-
-using odrepro::OrLive;
-
-constexpr char kExp[] = "fig06_video";
-
-std::string Bar(const VideoClip& clip, const char* bar) {
-  return std::string(clip.name) + "/" + bar;
-}
 
 class VideoBandsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(VideoBandsTest, FigureSixRatios) {
   const VideoClip& clip = StandardVideoClips()[static_cast<size_t>(GetParam())];
   uint64_t seed = 100 + static_cast<uint64_t>(GetParam());
-  const auto& replay = odharness::ArtifactReplay::Env();
 
-  double base = OrLive(replay.SetMean(kExp, Bar(clip, "Baseline")), [&] {
-    return RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, false, seed)
-        .joules;
-  });
-  double pm = OrLive(
-      replay.SetMean(kExp, Bar(clip, "Hardware-Only Power Mgmt.")), [&] {
-        return RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, seed)
-            .joules;
-      });
-  double prem_b = OrLive(replay.SetMean(kExp, Bar(clip, "Premiere-B")), [&] {
-    return RunVideoExperiment(clip, VideoTrack::kPremiereB, 1.0, true, seed)
-        .joules;
-  });
-  double prem_c = OrLive(replay.SetMean(kExp, Bar(clip, "Premiere-C")), [&] {
-    return RunVideoExperiment(clip, VideoTrack::kPremiereC, 1.0, true, seed)
-        .joules;
-  });
+  double base =
+      RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, false, seed).joules;
+  double pm =
+      RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, seed).joules;
+  double prem_b =
+      RunVideoExperiment(clip, VideoTrack::kPremiereB, 1.0, true, seed).joules;
+  double prem_c =
+      RunVideoExperiment(clip, VideoTrack::kPremiereC, 1.0, true, seed).joules;
   double window =
-      OrLive(replay.SetMean(kExp, Bar(clip, "Reduced Window")), [&] {
-        return RunVideoExperiment(clip, VideoTrack::kBaseline, 0.5, true, seed)
-            .joules;
-      });
-  double combined = OrLive(replay.SetMean(kExp, Bar(clip, "Combined")), [&] {
-    return RunVideoExperiment(clip, VideoTrack::kPremiereC, 0.5, true, seed)
-        .joules;
-  });
+      RunVideoExperiment(clip, VideoTrack::kBaseline, 0.5, true, seed).joules;
+  double combined =
+      RunVideoExperiment(clip, VideoTrack::kPremiereC, 0.5, true, seed).joules;
 
   EXPECT_GT(pm / base, 0.88) << clip.name;
   EXPECT_LT(pm / base, 0.93) << clip.name;
@@ -92,19 +65,10 @@ TEST_P(VideoBandsTest, XServerEnergyUnaffectedByCompression) {
   // "The energy used by the X server is almost completely unaffected by
   // compression" — frames are decoded before reaching X.
   const VideoClip& clip = StandardVideoClips()[static_cast<size_t>(GetParam())];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  double x_base = OrLive(
-      replay.BreakdownMean(kExp, Bar(clip, "Hardware-Only Power Mgmt."),
-                           "X Server"),
-      [&] {
-        return RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, 7)
-            .Process("X Server");
-      });
-  double x_prem = OrLive(
-      replay.BreakdownMean(kExp, Bar(clip, "Premiere-C"), "X Server"), [&] {
-        return RunVideoExperiment(clip, VideoTrack::kPremiereC, 1.0, true, 7)
-            .Process("X Server");
-      });
+  double x_base = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, 7)
+                      .Process("X Server");
+  double x_prem = RunVideoExperiment(clip, VideoTrack::kPremiereC, 1.0, true, 7)
+                      .Process("X Server");
   EXPECT_NEAR(x_prem, x_base, 0.10 * x_base);
 }
 
@@ -112,20 +76,10 @@ TEST_P(VideoBandsTest, WindowReductionCutsXServerEnergy) {
   // "Reducing window size significantly decreases X server energy usage"
   // (proportional to window area: quarter area -> about a quarter).
   const VideoClip& clip = StandardVideoClips()[static_cast<size_t>(GetParam())];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  double x_full = OrLive(
-      replay.BreakdownMean(kExp, Bar(clip, "Hardware-Only Power Mgmt."),
-                           "X Server"),
-      [&] {
-        return RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, 7)
-            .Process("X Server");
-      });
-  double x_half = OrLive(
-      replay.BreakdownMean(kExp, Bar(clip, "Reduced Window"), "X Server"),
-      [&] {
-        return RunVideoExperiment(clip, VideoTrack::kBaseline, 0.5, true, 7)
-            .Process("X Server");
-      });
+  double x_full = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, 7)
+                      .Process("X Server");
+  double x_half = RunVideoExperiment(clip, VideoTrack::kBaseline, 0.5, true, 7)
+                      .Process("X Server");
   double ratio = x_half / x_full;
   EXPECT_GT(ratio, 0.15);
   EXPECT_LT(ratio, 0.45);
@@ -135,21 +89,10 @@ TEST_P(VideoBandsTest, DiskStandbyProvidesMostOfHwPmSaving) {
   // "Most of the reduction is due to disk power management — the disk
   // remains in standby mode for the entire duration of an experiment."
   const VideoClip& clip = StandardVideoClips()[static_cast<size_t>(GetParam())];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  const std::string base_label = Bar(clip, "Baseline");
-  const std::string pm_label = Bar(clip, "Hardware-Only Power Mgmt.");
-  double disk_delta, total_delta;
-  if (auto base_disk = replay.ComponentMean(kExp, base_label, "Disk")) {
-    disk_delta =
-        *base_disk - replay.ComponentMean(kExp, pm_label, "Disk").value();
-    total_delta = replay.SetMean(kExp, base_label).value() -
-                  replay.SetMean(kExp, pm_label).value();
-  } else {
-    auto base = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, false, 7);
-    auto pm = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, 7);
-    disk_delta = base.Component("Disk") - pm.Component("Disk");
-    total_delta = base.joules - pm.joules;
-  }
+  auto base = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, false, 7);
+  auto pm = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, true, 7);
+  double disk_delta = base.Component("Disk") - pm.Component("Disk");
+  double total_delta = base.joules - pm.joules;
   EXPECT_GT(disk_delta, 0.5 * total_delta);
 }
 
@@ -164,23 +107,12 @@ TEST(VideoBandsTest2, BaselineHasIdleEnergyFromNetworkLimit) {
   // calibration leaves the CPU busier than the paper's client, so the idle
   // share is smaller but still material.
   const VideoClip& clip = StandardVideoClips()[0];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  const std::string base_label = Bar(clip, "Baseline");
-  const std::string low_label = Bar(clip, "Premiere-C");
-  double base_idle, base_joules, low_idle, low_joules;
-  if (auto idle = replay.BreakdownMean(kExp, base_label, "Idle")) {
-    base_idle = *idle;
-    base_joules = replay.SetMean(kExp, base_label).value();
-    low_idle = replay.BreakdownMean(kExp, low_label, "Idle").value();
-    low_joules = replay.SetMean(kExp, low_label).value();
-  } else {
-    auto m = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, false, 7);
-    auto low = RunVideoExperiment(clip, VideoTrack::kPremiereC, 1.0, true, 7);
-    base_idle = m.Process("Idle");
-    base_joules = m.joules;
-    low_idle = low.Process("Idle");
-    low_joules = low.joules;
-  }
+  auto m = RunVideoExperiment(clip, VideoTrack::kBaseline, 1.0, false, 7);
+  auto low = RunVideoExperiment(clip, VideoTrack::kPremiereC, 1.0, true, 7);
+  double base_idle = m.Process("Idle");
+  double base_joules = m.joules;
+  double low_idle = low.Process("Idle");
+  double low_joules = low.joules;
   EXPECT_GT(base_idle, 0.02 * base_joules);
   // At Premiere-C the network and CPU are both less utilized, so the idle
   // share grows — the effect the paper attributes to the bandwidth limit.

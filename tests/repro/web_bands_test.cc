@@ -2,37 +2,17 @@
 //   - hardware-only PM saves 22-26% of baseline;
 //   - even at JPEG quality 5 the further saving is merely 4-14%;
 //   - energy is linear in think time; fidelity lines are closely spaced.
-//
-// With ODBENCH_ARTIFACT_DIR set the bands replay the recorded fig13_web
-// ("<image>/<bar>") and fig14_web_think ("<policy>/think<t>") artifacts
-// instead of re-simulating.
 
-#include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/experiments.h"
 #include "src/util/stats.h"
-#include "tests/repro/replay_util.h"
 
 namespace odapps {
 namespace {
-
-using odrepro::OrLive;
-
-constexpr char kFig13[] = "fig13_web";
-constexpr char kFig14[] = "fig14_web_think";
-
-std::string Bar(const WebImage& image, const char* bar) {
-  return std::string(image.name) + "/" + bar;
-}
-
-std::string ThinkCell(const char* policy, double think) {
-  char label[64];
-  std::snprintf(label, sizeof(label), "%s/think%.0f", policy, think);
-  return label;
-}
 
 class WebBandsTest : public ::testing::TestWithParam<int> {};
 
@@ -40,26 +20,17 @@ TEST_P(WebBandsTest, FigureThirteenRatios) {
   const WebImage& image = StandardWebImages()[static_cast<size_t>(GetParam())];
   uint64_t seed = 400 + static_cast<uint64_t>(GetParam());
   constexpr double kThink = 5.0;
-  const auto& replay = odharness::ArtifactReplay::Env();
 
-  double base = OrLive(replay.SetMean(kFig13, Bar(image, "Baseline")), [&] {
-    return RunWebExperiment(image, WebFidelity::kOriginal, kThink, false, seed)
-        .joules;
-  });
-  double pm = OrLive(
-      replay.SetMean(kFig13, Bar(image, "Hardware-Only Power Mgmt.")), [&] {
-        return RunWebExperiment(image, WebFidelity::kOriginal, kThink, true,
-                                seed)
-            .joules;
-      });
-  double j75 = OrLive(replay.SetMean(kFig13, Bar(image, "JPEG-75")), [&] {
-    return RunWebExperiment(image, WebFidelity::kJpeg75, kThink, true, seed)
-        .joules;
-  });
-  double j5 = OrLive(replay.SetMean(kFig13, Bar(image, "JPEG-5")), [&] {
-    return RunWebExperiment(image, WebFidelity::kJpeg5, kThink, true, seed)
-        .joules;
-  });
+  double base =
+      RunWebExperiment(image, WebFidelity::kOriginal, kThink, false, seed)
+          .joules;
+  double pm =
+      RunWebExperiment(image, WebFidelity::kOriginal, kThink, true, seed)
+          .joules;
+  double j75 =
+      RunWebExperiment(image, WebFidelity::kJpeg75, kThink, true, seed).joules;
+  double j5 =
+      RunWebExperiment(image, WebFidelity::kJpeg5, kThink, true, seed).joules;
 
   EXPECT_GT(pm / base, 0.72) << image.name;
   EXPECT_LT(pm / base, 0.82) << image.name;
@@ -84,25 +55,19 @@ TEST(WebThinkTimeTest, LinearModelAndCloseFidelityLines) {
   // Figure 14: baseline diverges from the managed cases; the managed and
   // lowest-fidelity lines are nearly coincident.
   const WebImage& image = StandardWebImages()[0];
-  const auto& replay = odharness::ArtifactReplay::Env();
   std::vector<double> thinks = {0.0, 5.0, 10.0, 20.0};
 
-  auto sweep = [&](const char* policy, WebFidelity fidelity, bool pm) {
+  auto sweep = [&](WebFidelity fidelity, bool pm) {
     std::vector<double> joules;
     for (double think : thinks) {
-      joules.push_back(
-          OrLive(replay.SetMean(kFig14, ThinkCell(policy, think)), [&] {
-            return RunWebExperiment(image, fidelity, think, pm, 41).joules;
-          }));
+      joules.push_back(RunWebExperiment(image, fidelity, think, pm, 41).joules);
     }
     return odutil::FitLine(thinks, joules);
   };
 
-  odutil::LinearFit baseline = sweep("Baseline", WebFidelity::kOriginal, false);
-  odutil::LinearFit hw =
-      sweep("Hardware-Only Power Mgmt.", WebFidelity::kOriginal, true);
-  odutil::LinearFit lowest =
-      sweep("Lowest Fidelity", WebFidelity::kJpeg5, true);
+  odutil::LinearFit baseline = sweep(WebFidelity::kOriginal, false);
+  odutil::LinearFit hw = sweep(WebFidelity::kOriginal, true);
+  odutil::LinearFit lowest = sweep(WebFidelity::kJpeg5, true);
 
   EXPECT_GT(baseline.r_squared, 0.999);
   EXPECT_GT(hw.r_squared, 0.999);
@@ -118,42 +83,21 @@ TEST(WebBandsTest2, MostPmSavingsOccurDuringThinkTime) {
   // "The shadings indicate that most of this savings occurs in the idle
   // state, probably during think time."
   const WebImage& image = StandardWebImages()[0];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  const std::string base_label = Bar(image, "Baseline");
-  const std::string pm_label = Bar(image, "Hardware-Only Power Mgmt.");
-  double idle_delta, total_delta;
-  if (auto base_idle = replay.BreakdownMean(kFig13, base_label, "Idle")) {
-    idle_delta =
-        *base_idle - replay.BreakdownMean(kFig13, pm_label, "Idle").value();
-    total_delta = replay.SetMean(kFig13, base_label).value() -
-                  replay.SetMean(kFig13, pm_label).value();
-  } else {
-    auto base = RunWebExperiment(image, WebFidelity::kOriginal, 5.0, false, 43);
-    auto pm = RunWebExperiment(image, WebFidelity::kOriginal, 5.0, true, 43);
-    idle_delta = base.Process("Idle") - pm.Process("Idle");
-    total_delta = base.joules - pm.joules;
-  }
+  auto base = RunWebExperiment(image, WebFidelity::kOriginal, 5.0, false, 43);
+  auto pm = RunWebExperiment(image, WebFidelity::kOriginal, 5.0, true, 43);
+  double idle_delta = base.Process("Idle") - pm.Process("Idle");
+  double total_delta = base.joules - pm.joules;
   EXPECT_GT(idle_delta, 0.6 * total_delta);
 }
 
 TEST(WebBandsTest2, DistillationServerBearsTranscodingCost) {
   // Transcoding happens at the server; the client pays only a waiting cost,
-  // so a distilled fetch is never more expensive than the original.  The
-  // recorded fig13 bars include 5 s of think time on both sides, which
-  // shifts both energies equally and preserves the ordering claim.
+  // so a distilled fetch is never more expensive than the original.
   const WebImage& image = StandardWebImages()[0];
-  const auto& replay = odharness::ArtifactReplay::Env();
-  double original, distilled;
-  if (auto recorded =
-          replay.SetMean(kFig13, Bar(image, "Hardware-Only Power Mgmt."))) {
-    original = *recorded;
-    distilled = replay.SetMean(kFig13, Bar(image, "JPEG-25")).value();
-  } else {
-    original =
-        RunWebExperiment(image, WebFidelity::kOriginal, 0.0, true, 43).joules;
-    distilled =
-        RunWebExperiment(image, WebFidelity::kJpeg25, 0.0, true, 43).joules;
-  }
+  double original =
+      RunWebExperiment(image, WebFidelity::kOriginal, 0.0, true, 43).joules;
+  double distilled =
+      RunWebExperiment(image, WebFidelity::kJpeg25, 0.0, true, 43).joules;
   EXPECT_LT(distilled, original);
 }
 
