@@ -39,7 +39,10 @@ double LearnedEstimator::OnSample(odsim::SimTime now, double gauge_watts,
   // back below the confidence bar — but a model whose training is frozen
   // (drift verdict, safe mode, suspicion) forgets nothing, so excitation
   // must not rot while the clock is stopped.
-  if (window_seconds > 0.0 && record.seconds > 0.0) {
+  // Skipped when the training clock has not moved since the last visit
+  // (the common same-combination case): the factor would be exp(-0) == 1.
+  if (window_seconds > 0.0 && record.seconds > 0.0 &&
+      trained_seconds_total_ != record.trained_at) {
     double tau = 2.0 * window_seconds /
                  std::max(1e-6, 1.0 - model_.config().forgetting);
     record.seconds *=

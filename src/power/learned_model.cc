@@ -8,8 +8,20 @@
 
 namespace odpower {
 
+namespace {
+
+// Per-sample EWMA weight that halves a sample's influence after
+// `half_life` samples.
+double EwmaAlpha(double half_life) {
+  return 1.0 - std::pow(0.5, 1.0 / std::max(1.0, half_life));
+}
+
+}  // namespace
+
 LearnedModel::LearnedModel(int dim, const LearnedModelConfig& config)
-    : dim_(dim), config_(config) {
+    : dim_(dim),
+      config_(config),
+      error_alpha_(EwmaAlpha(config.error_half_life_samples)) {
   OD_CHECK(dim > 0);
   OD_CHECK(config.forgetting > 0.0 && config.forgetting <= 1.0);
   OD_CHECK(config.initial_variance > 0.0);
@@ -53,16 +65,14 @@ void LearnedModel::Observe(const std::vector<double>& phi,
   for (int i = 0; i < dim_; ++i) {
     predicted += theta_[static_cast<size_t>(i)] * phi[static_cast<size_t>(i)];
   }
-  double alpha =
-      1.0 - std::pow(0.5, 1.0 / std::max(1.0, config_.error_half_life_samples));
   double abs_error = std::abs(measured_watts - predicted);
   if (!ewma_primed_) {
     error_ewma_ = abs_error;
     level_ewma_ = std::abs(measured_watts);
     ewma_primed_ = true;
   } else {
-    error_ewma_ += alpha * (abs_error - error_ewma_);
-    level_ewma_ += alpha * (std::abs(measured_watts) - level_ewma_);
+    error_ewma_ += error_alpha_ * (abs_error - error_ewma_);
+    level_ewma_ += error_alpha_ * (std::abs(measured_watts) - level_ewma_);
   }
 
   // RLS:  k = P phi / (lambda + phi' P phi)

@@ -111,6 +111,9 @@ class LearnedModel {
 
   int dim_;
   LearnedModelConfig config_;
+  // EWMA weight of one sample in the error and level averages, from
+  // config_.error_half_life_samples.
+  double error_alpha_;
   std::vector<double> theta_;  // Fitted coefficients, watts.
   std::vector<double> p_;      // Covariance, row-major dim x dim.
   std::vector<double> gain_;   // Scratch: k = P phi / denom.

@@ -171,6 +171,18 @@ EventQueue::Popped EventQueue::Pop() {
   return popped;
 }
 
+bool EventQueue::TopOrdersBefore(SimTime at, uint64_t seq) const {
+  SkipCancelled();
+  if (heap_.empty()) {
+    return false;
+  }
+  const HeapEntry& top = heap_.front();
+  if (top.time != at) {
+    return top.time < at;
+  }
+  return (top.seq_slot >> kSlotBits) < seq;
+}
+
 bool EventQueue::PopIfAtOrBefore(SimTime deadline, Popped* out) {
   SkipCancelled();
   if (heap_.empty() || heap_.front().time > deadline) {

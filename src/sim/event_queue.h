@@ -78,6 +78,17 @@ class EventQueue {
   // event instead of three (empty / NextTime / Pop).
   bool PopIfAtOrBefore(SimTime deadline, Popped* out);
 
+  // Consumes the sequence number the next Push would have taken, without
+  // inserting anything.  An owner that keeps one event outside the heap
+  // (the simulator's in-flight CPU slice) files it under (time, this seq),
+  // so it keeps exactly the place in the (time, seq) order that a pushed
+  // event would have had.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  // True if the earliest non-cancelled event orders strictly before
+  // (at, seq) in the (time, seq) order; false when the queue is empty.
+  bool TopOrdersBefore(SimTime at, uint64_t seq) const;
+
   size_t size_for_testing() const { return heap_.size(); }
   // Cancelled entries still occupying the heap (awaiting skip/compaction).
   size_t cancelled_count_for_testing() const { return cancelled_pending_; }

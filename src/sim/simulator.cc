@@ -20,26 +20,35 @@ EventHandle Simulator::ScheduleAt(SimTime at, EventFn fn) {
 
 void Simulator::Run() {
   stopped_ = false;
-  EventQueue::Popped popped;
-  while (!stopped_ && queue_.PopIfAtOrBefore(SimTime::Max(), &popped)) {
-    OD_CHECK(popped.time >= now_);
-    now_ = popped.time;
-    ++events_processed_;
-    popped.fn();
-  }
+  RunEvents(SimTime::Max());
 }
 
 void Simulator::RunUntil(SimTime deadline) {
   OD_CHECK(deadline >= now_);
   stopped_ = false;
+  RunEvents(deadline);
+  if (!stopped_ && now_ < deadline) {
+    now_ = deadline;
+  }
+}
+
+void Simulator::RunEvents(SimTime deadline) {
   EventQueue::Popped popped;
-  while (!stopped_ && queue_.PopIfAtOrBefore(deadline, &popped)) {
+  while (!stopped_) {
+    if (slice_pending_ && slice_.end <= deadline &&
+        !queue_.TopOrdersBefore(slice_.end, slice_.seq)) {
+      now_ = slice_.end;
+      ++events_processed_;
+      EndSlice();
+      continue;
+    }
+    if (!queue_.PopIfAtOrBefore(deadline, &popped)) {
+      break;
+    }
+    OD_CHECK(popped.time >= now_);
     now_ = popped.time;
     ++events_processed_;
     popped.fn();
-  }
-  if (!stopped_ && now_ < deadline) {
-    now_ = deadline;
   }
 }
 
@@ -110,24 +119,28 @@ void Simulator::Dispatch(SimTime now) {
   // rounds half-up, so the per-slice wall/work rounding drift is at most
   // half a microsecond and never goes negative.
   OD_CHECK(work > SimDuration::Zero() && wall >= work);
-  slice_end_ = queue_.Push(now + wall, [this, work] {
-    OD_CHECK(!run_queue_.empty());
-    WorkItem& front = run_queue_.front();
-    front.remaining -= work;
-    if (front.remaining <= SimDuration::Zero()) {
-      EventFn done = std::move(front.on_complete);
-      run_queue_.pop_front();
-      if (done) {
-        done();
-      }
-    } else if (run_queue_.size() > 1) {
-      // Round-robin rotation.
-      WorkItem rotated = std::move(run_queue_.front());
-      run_queue_.pop_front();
-      run_queue_.push_back(std::move(rotated));
+  slice_ = Slice{now + wall, queue_.ReserveSeq(), work};
+  slice_pending_ = true;
+}
+
+void Simulator::EndSlice() {
+  slice_pending_ = false;
+  OD_CHECK(!run_queue_.empty());
+  WorkItem& front = run_queue_.front();
+  front.remaining -= slice_.work;
+  if (front.remaining <= SimDuration::Zero()) {
+    EventFn done = std::move(front.on_complete);
+    run_queue_.pop_front();
+    if (done) {
+      done();
     }
-    Dispatch(now_);
-  });
+  } else if (run_queue_.size() > 1) {
+    // Round-robin rotation.
+    WorkItem rotated = std::move(run_queue_.front());
+    run_queue_.pop_front();
+    run_queue_.push_back(std::move(rotated));
+  }
+  Dispatch(now_);
 }
 
 }  // namespace odsim

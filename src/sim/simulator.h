@@ -5,6 +5,13 @@
 // quantum, so at every instant exactly one (pid, procedure) context is
 // executing — which is what PowerScope samples and what the energy
 // accountant attributes against.
+//
+// The CPU has at most one slice in flight, and its end is the most common
+// event in a CPU-bound run.  It is kept out of the event queue: Dispatch
+// records {end, seq, work} with a sequence number reserved from the queue
+// at the moment it would have pushed, and the main loops fire the slice
+// inline when it orders before the queue's top.  The (time, seq) order,
+// ties included, is therefore exactly the one a pushed slice would give.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -126,7 +133,21 @@ class Simulator {
     EventFn on_complete;
   };
 
+  // The in-flight CPU slice: it ends at `end`, ordered among queued events
+  // by the reserved sequence number `seq`, and retires `work`.
+  struct Slice {
+    SimTime end;
+    uint64_t seq = 0;
+    SimDuration work;
+  };
+
+  // Fires events (and the in-flight slice) in (time, seq) order up to and
+  // including `deadline`, until none remain or Stop() is called.
+  void RunEvents(SimTime deadline);
   void Dispatch(SimTime now);
+  // Retires the finished slice's work, completes or rotates the front work
+  // item, and dispatches the next slice.
+  void EndSlice();
   void SetContext(SimTime now, ProcessId pid, ProcedureId proc);
 
   SimTime now_;
@@ -136,8 +157,11 @@ class Simulator {
   uint64_t events_processed_ = 0;
 
   std::deque<WorkItem> run_queue_;
+  // True from Dispatch until the run queue drains, including while a
+  // completion callback runs, so SubmitWork never starts a second slice.
   bool cpu_dispatching_ = false;
-  EventHandle slice_end_;
+  bool slice_pending_ = false;
+  Slice slice_;
   SimDuration quantum_ = SimDuration::Millis(10);
   double cpu_speed_ = 1.0;
 

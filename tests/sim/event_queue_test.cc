@@ -1,5 +1,6 @@
 #include "src/sim/event_queue.h"
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,6 +112,41 @@ TEST(EventQueueTest, PopIfAtOrBeforeRespectsDeadline) {
   EXPECT_EQ(popped.time, SimTime::Seconds(5));
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.PopIfAtOrBefore(SimTime::Max(), &popped));
+}
+
+// A reserved sequence number takes the place in the (time, seq) order that
+// a Push made at that moment would have had: after every earlier push at
+// the same time, before every later one.
+TEST(EventQueueTest, ReservedSeqOrdersLikeAPushAtThatMoment) {
+  EventQueue q;
+  SimTime at = SimTime::Seconds(5);
+  q.Push(at, [] {});
+  uint64_t reserved = q.ReserveSeq();
+  EXPECT_EQ(q.size_for_testing(), 1u);  // Reserving inserts nothing.
+  q.Push(at, [] {});
+  EXPECT_TRUE(q.TopOrdersBefore(at, reserved));  // The earlier push.
+  q.Pop();
+  EXPECT_FALSE(q.TopOrdersBefore(at, reserved));  // The later push.
+  // Time decides before sequence.
+  EXPECT_TRUE(q.TopOrdersBefore(SimTime::Seconds(6), reserved));
+  EXPECT_FALSE(q.TopOrdersBefore(SimTime::Seconds(4), reserved + 100));
+  // Reservations and pushes draw from one counter.
+  EXPECT_EQ(q.ReserveSeq(), reserved + 2);
+}
+
+TEST(EventQueueTest, TopOrdersBeforeSkipsCancelledEntries) {
+  EventQueue q;
+  EXPECT_FALSE(q.TopOrdersBefore(SimTime::Max(), 0));
+  EventHandle early = q.Push(SimTime::Seconds(1), [] {});
+  q.Push(SimTime::Seconds(10), [] {});
+  uint64_t reserved = q.ReserveSeq();
+  EXPECT_TRUE(q.TopOrdersBefore(SimTime::Seconds(5), reserved));
+  early.Cancel();
+  // The cancelled 1 s entry is still in the heap but must not count.
+  EXPECT_FALSE(q.TopOrdersBefore(SimTime::Seconds(5), reserved));
+  EXPECT_TRUE(q.TopOrdersBefore(SimTime::Seconds(11), reserved));
+  q.Pop();
+  EXPECT_FALSE(q.TopOrdersBefore(SimTime::Max(), reserved));
 }
 
 TEST(EventQueueTest, StaleHandleAfterSlotReuseIsInert) {

@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -213,6 +214,63 @@ TEST(SimulatorCpuTest, QuantumGovernsInterleavingGranularity) {
     }
   }
   EXPECT_EQ(busy_switches, 6);
+}
+
+// Same-timestamp ties between CPU slice ends and ordinary events resolve by
+// scheduling order, slice by slice.  25 ms of work under a 10 ms quantum
+// ends with the slice dispatched at 20 ms, so its completion C files after
+// E (scheduled at 5 ms) and before G (scheduled at 22 ms).  Collapsing the
+// slices into one completion event filed at submission would put C ahead
+// of E.
+TEST(SimulatorCpuTest, SliceEndsKeepScheduleOrderAtTies) {
+  Simulator sim;
+  ProcessId pid = sim.processes().RegisterProcess("worker");
+  ProcedureId proc = sim.processes().RegisterProcedure("_w");
+  const SimTime t25 = SimTime::Millis(25);
+  std::string order;
+  sim.ScheduleAt(t25, [&] { order += 'A'; });
+  sim.SubmitWork(pid, proc, SimDuration::Millis(25), [&] {
+    order += 'C';
+    sim.Schedule(SimDuration::Zero(), [&] { order += 'F'; });
+  });
+  sim.ScheduleAt(SimTime::Millis(5),
+                 [&] { sim.ScheduleAt(t25, [&] { order += 'E'; }); });
+  sim.ScheduleAt(SimTime::Millis(22),
+                 [&] { sim.ScheduleAt(t25, [&] { order += 'G'; }); });
+  sim.Run();
+  EXPECT_EQ(order, "AECGF");
+  // 5 ms, three slice ends, 22 ms, then A, E, G and F.
+  EXPECT_EQ(sim.events_processed(), 9u);
+  EXPECT_EQ(sim.Now(), t25);
+}
+
+// Stop() from a completion callback halts RunUntil right there: the clock
+// stays at the completion and later work resumes on the next run.
+TEST(SimulatorCpuTest, StopFromCompletionHaltsRunUntil) {
+  Simulator sim;
+  ProcessId a = sim.processes().RegisterProcess("a");
+  ProcessId b = sim.processes().RegisterProcess("b");
+  ProcedureId proc = sim.processes().RegisterProcedure("_w");
+  SimTime a_done, b_done;
+  bool same_time_fired = false;
+  sim.SubmitWork(a, proc, SimDuration::Millis(10), [&] {
+    a_done = sim.Now();
+    sim.Schedule(SimDuration::Zero(), [&] { same_time_fired = true; });
+    sim.Stop();
+  });
+  sim.SubmitWork(b, proc, SimDuration::Millis(30), [&] { b_done = sim.Now(); });
+  sim.RunUntil(SimTime::Seconds(1));
+  EXPECT_TRUE(sim.stopped());
+  EXPECT_EQ(a_done, SimTime::Millis(10));
+  EXPECT_EQ(sim.Now(), SimTime::Millis(10));
+  EXPECT_FALSE(same_time_fired);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.current_pid(), b);  // b's first slice is in flight.
+  sim.RunUntil(SimTime::Seconds(1));
+  EXPECT_TRUE(same_time_fired);
+  EXPECT_EQ(b_done, SimTime::Millis(40));
+  EXPECT_EQ(sim.Now(), SimTime::Seconds(1));
+  EXPECT_FALSE(sim.cpu_busy());
 }
 
 }  // namespace
