@@ -19,16 +19,16 @@ double LearnedEstimator::OnSample(odsim::SimTime now, double gauge_watts,
   // linear, so coefficients apply to time-averages of the state
   // indicators just as they do to the indicators themselves.
   double window_seconds = 0.0;
-  std::vector<double> phi = probe_.DrainWindow(now, &window_seconds);
-  double predicted = model_.PredictWatts(phi);
+  probe_.DrainWindow(now, &window_seconds, &phi_);
+  double predicted = model_.PredictWatts(phi_);
   last_predicted_watts_ = predicted;
   if (window_seconds > 0.0) {
     learned_joules_ += predicted * window_seconds;
   }
-  std::vector<double> snapshot = probe_.SnapshotFeatures();
+  probe_.SnapshotFeatures(&snapshot_);
   uint64_t combination = 0;
-  for (size_t i = 1; i < snapshot.size() && i < 64; ++i) {
-    if (snapshot[i] > 0.5) {
+  for (size_t i = 1; i < snapshot_.size() && i < 64; ++i) {
+    if (snapshot_[i] > 0.5) {
       combination |= uint64_t{1} << i;
     }
   }
@@ -54,7 +54,7 @@ double LearnedEstimator::OnSample(odsim::SimTime now, double gauge_watts,
     // instant, so training pairs it with the snapshot state indicators —
     // regressing an instantaneous target on window averages attenuates
     // every coefficient for a component that switches within the window.
-    model_.Observe(snapshot, gauge_watts);
+    model_.Observe(snapshot_, gauge_watts);
     record.seconds += window_seconds;
     trained_seconds_total_ += window_seconds;
     record.trained_at = trained_seconds_total_;

@@ -106,6 +106,9 @@ class LearnedEstimator {
  private:
   odpower::UtilizationProbe probe_;
   odpower::LearnedModel model_;
+  // Per-sample feature buffers, reused so OnSample allocates nothing.
+  std::vector<double> phi_;
+  std::vector<double> snapshot_;
   double learned_joules_ = 0.0;
   double joules_at_convergence_ = 0.0;
   bool convergence_marked_ = false;

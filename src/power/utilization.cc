@@ -57,15 +57,15 @@ void UtilizationProbe::OnMachinePowerChanged(odsim::SimTime now) {
   Accrue(now);
 }
 
-std::vector<double> UtilizationProbe::DrainWindow(odsim::SimTime now,
-                                                 double* window_seconds) {
+void UtilizationProbe::DrainWindow(odsim::SimTime now, double* window_seconds,
+                                   std::vector<double>* phi) {
   Accrue(now);
   double window = (now - window_start_).seconds();
-  std::vector<double> phi(static_cast<size_t>(dim()), 0.0);
-  phi[0] = 1.0;
+  phi->assign(static_cast<size_t>(dim()), 0.0);
+  (*phi)[0] = 1.0;
   if (window > 0.0) {
     for (size_t i = 0; i < window_seconds_.size(); ++i) {
-      phi[i + 1] = window_seconds_[i] / window;
+      (*phi)[i + 1] = window_seconds_[i] / window;
     }
   }
   if (window_seconds != nullptr) {
@@ -73,19 +73,23 @@ std::vector<double> UtilizationProbe::DrainWindow(odsim::SimTime now,
   }
   window_start_ = now;
   window_seconds_.assign(features_.size(), 0.0);
-  return phi;
 }
 
-std::vector<double> UtilizationProbe::SnapshotFeatures() const {
-  std::vector<double> phi(static_cast<size_t>(dim()), 0.0);
-  phi[0] = 1.0;
+void UtilizationProbe::SnapshotFeatures(std::vector<double>* phi) const {
+  phi->assign(static_cast<size_t>(dim()), 0.0);
+  (*phi)[0] = 1.0;
   for (size_t c = 0; c < baseline_state_.size(); ++c) {
     int slot = feature_index_[static_cast<size_t>(
         component_offset_[c] + machine_->component(static_cast<int>(c)).state())];
     if (slot >= 0) {
-      phi[static_cast<size_t>(slot) + 1] = 1.0;
+      (*phi)[static_cast<size_t>(slot) + 1] = 1.0;
     }
   }
+}
+
+std::vector<double> UtilizationProbe::SnapshotFeatures() const {
+  std::vector<double> phi;
+  SnapshotFeatures(&phi);
   return phi;
 }
 

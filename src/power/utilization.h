@@ -52,18 +52,21 @@ class UtilizationProbe final : public MachineObserver {
   // component state.
   int dim() const { return static_cast<int>(features_.size()) + 1; }
 
-  // Closes the window at `now` and returns its feature vector (intercept
-  // first, occupancies as fractions of the window).  `window_seconds`
-  // receives the window length.  A zero-length window returns the intercept
-  // with zero occupancies.
-  std::vector<double> DrainWindow(odsim::SimTime now, double* window_seconds);
+  // Closes the window at `now` and writes its feature vector into `phi`
+  // (intercept first, occupancies as fractions of the window), reusing the
+  // vector's storage.  `window_seconds` receives the window length.  A
+  // zero-length window yields the intercept with zero occupancies.
+  void DrainWindow(odsim::SimTime now, double* window_seconds,
+                   std::vector<double>* phi);
 
   // The instantaneous feature vector: 1.0 for each component's *current*
   // state (0 for its baseline), intercept first.  A gauge reading is a
   // snapshot of machine power at the sampling instant, so the regression
   // must be trained against the snapshot states; window occupancies are
   // time-averages of exactly these indicators, so the same linear model
-  // then predicts window energy.
+  // then predicts window energy.  The out-parameter form reuses `phi`'s
+  // storage, for callers on the per-sample path.
+  void SnapshotFeatures(std::vector<double>* phi) const;
   std::vector<double> SnapshotFeatures() const;
 
   // Human-readable feature name: "bias" or "<component>[<state>]".

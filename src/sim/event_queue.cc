@@ -8,8 +8,8 @@ namespace odsim {
 
 namespace {
 constexpr size_t kArity = 4;
-// Compact once at least this many cancelled entries have accumulated AND
-// they outnumber live entries; small queues just skip-on-pop.
+// Compact once at least this many cancelled events have accumulated AND
+// they outnumber live ones; small queues just skip-on-pop.
 constexpr size_t kCompactMinCancelled = 64;
 }  // namespace
 
@@ -26,7 +26,7 @@ bool EventHandle::pending() const {
 uint32_t EventQueue::AllocSlot() {
   if (free_head_ != kNoSlot) {
     uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
+    free_head_ = slots_[slot].next;
     return slot;
   }
   OD_CHECK(slots_.size() < (size_t{1} << kSlotBits));
@@ -37,9 +37,8 @@ uint32_t EventQueue::AllocSlot() {
 void EventQueue::FreeSlot(uint32_t slot) const {
   Slot& s = slots_[slot];
   s.fn = nullptr;
-  s.cancelled = false;
   ++s.gen;
-  s.next_free = free_head_;
+  s.next = free_head_;
   free_head_ = slot;
 }
 
@@ -92,9 +91,17 @@ EventHandle EventQueue::Push(SimTime at, EventFn fn) {
   uint32_t slot = AllocSlot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  heap_.push_back(
-      HeapEntry{at, (next_seq_++ << kSlotBits) | uint64_t{slot}});
-  SiftUp(heap_.size() - 1);
+  s.seq = next_seq_++;
+  s.next = kNoSlot;
+  if (tail_ != kNoSlot && tail_time_ == at) {
+    slots_[tail_].next = slot;
+  } else {
+    heap_.push_back(HeapEntry{at, (s.seq << kSlotBits) | uint64_t{slot}});
+    SiftUp(heap_.size() - 1);
+    tail_time_ = at;
+  }
+  tail_ = slot;
+  ++queued_;
   return EventHandle(this, slot, s.gen);
 }
 
@@ -103,14 +110,14 @@ void EventQueue::CancelSlot(uint32_t slot, uint32_t gen) {
     return;
   }
   Slot& s = slots_[slot];
-  if (s.gen != gen || s.cancelled) {
+  if (s.gen != gen || s.cancelled()) {
     return;  // Already fired, cancelled, or the slot was recycled.
   }
-  s.cancelled = true;
+  s.seq = kCancelledSeq;
   s.fn = nullptr;  // Release the closure (and anything it keeps alive) now.
   ++cancelled_pending_;
   if (cancelled_pending_ >= kCompactMinCancelled &&
-      cancelled_pending_ * 2 > heap_.size()) {
+      cancelled_pending_ * 2 > queued_) {
     Compact();
   }
 }
@@ -120,15 +127,33 @@ bool EventQueue::SlotPending(uint32_t slot, uint32_t gen) const {
     return false;
   }
   const Slot& s = slots_[slot];
-  return s.gen == gen && !s.cancelled;
+  return s.gen == gen && !s.cancelled();
 }
 
 void EventQueue::Compact() {
   auto keep = heap_.begin();
-  for (const HeapEntry& e : heap_) {
-    if (slots_[e.slot()].cancelled) {
-      FreeSlot(e.slot());
-    } else {
+  for (HeapEntry e : heap_) {
+    // Relink the chain through its survivors; the key stays the first
+    // event's, which still orders the chain among its neighbours.
+    uint32_t head = kNoSlot;
+    uint32_t* link = &head;
+    for (uint32_t slot = e.slot(); slot != kNoSlot;) {
+      uint32_t next = slots_[slot].next;
+      if (slots_[slot].cancelled()) {
+        if (slot == tail_) {
+          tail_ = kNoSlot;
+        }
+        FreeSlot(slot);
+        --queued_;
+      } else {
+        *link = slot;
+        link = &slots_[slot].next;
+      }
+      slot = next;
+    }
+    *link = kNoSlot;
+    if (head != kNoSlot) {
+      e.set_slot(head);
       *keep++ = e;
     }
   }
@@ -141,11 +166,25 @@ void EventQueue::Compact() {
   cancelled_pending_ = 0;
 }
 
-void EventQueue::SkipCancelled() const {
-  while (!heap_.empty() && slots_[heap_.front().slot()].cancelled) {
-    uint32_t slot = heap_.front().slot();
+uint32_t EventQueue::TakeHead() const {
+  HeapEntry& top = heap_.front();
+  uint32_t head = top.slot();
+  uint32_t next = slots_[head].next;
+  if (next != kNoSlot) {
+    top.set_slot(next);
+  } else {
     RemoveTop();
-    FreeSlot(slot);
+  }
+  if (head == tail_) {
+    tail_ = kNoSlot;
+  }
+  --queued_;
+  return head;
+}
+
+void EventQueue::SkipCancelled() const {
+  while (!heap_.empty() && slots_[heap_.front().slot()].cancelled()) {
+    FreeSlot(TakeHead());
     --cancelled_pending_;
   }
 }
@@ -164,10 +203,10 @@ SimTime EventQueue::NextTime() const {
 EventQueue::Popped EventQueue::Pop() {
   SkipCancelled();
   OD_CHECK(!heap_.empty());
-  HeapEntry top = heap_.front();
-  RemoveTop();
-  Popped popped{top.time, std::move(slots_[top.slot()].fn)};
-  FreeSlot(top.slot());
+  SimTime time = heap_.front().time;
+  uint32_t head = TakeHead();
+  Popped popped{time, std::move(slots_[head].fn)};
+  FreeSlot(head);
   return popped;
 }
 
@@ -180,7 +219,7 @@ bool EventQueue::TopOrdersBefore(SimTime at, uint64_t seq) const {
   if (top.time != at) {
     return top.time < at;
   }
-  return (top.seq_slot >> kSlotBits) < seq;
+  return slots_[top.slot()].seq < seq;
 }
 
 bool EventQueue::PopIfAtOrBefore(SimTime deadline, Popped* out) {
@@ -188,11 +227,10 @@ bool EventQueue::PopIfAtOrBefore(SimTime deadline, Popped* out) {
   if (heap_.empty() || heap_.front().time > deadline) {
     return false;
   }
-  HeapEntry top = heap_.front();
-  RemoveTop();
-  out->time = top.time;
-  out->fn = std::move(slots_[top.slot()].fn);
-  FreeSlot(top.slot());
+  out->time = heap_.front().time;
+  uint32_t head = TakeHead();
+  out->fn = std::move(slots_[head].fn);
+  FreeSlot(head);
   return true;
 }
 

@@ -151,7 +151,8 @@ TEST(UtilizationProbeTest, OccupanciesMatchHandComputedResidency) {
   sim.RunUntil(odsim::SimTime::Seconds(10));
 
   double window = 0.0;
-  std::vector<double> phi = probe.DrainWindow(sim.Now(), &window);
+  std::vector<double> phi;
+  probe.DrainWindow(sim.Now(), &window, &phi);
   EXPECT_DOUBLE_EQ(window, 10.0);
   ASSERT_EQ(phi.size(), 4u);
   EXPECT_DOUBLE_EQ(phi[0], 1.0);
@@ -170,7 +171,8 @@ TEST(UtilizationProbeTest, OccupanciesMatchHandComputedResidency) {
   EXPECT_NEAR(occupancy_b2, 0.2, 1e-12);
 
   // The drain reset the window: an immediate re-drain is empty.
-  std::vector<double> empty = probe.DrainWindow(sim.Now(), &window);
+  std::vector<double> empty;
+  probe.DrainWindow(sim.Now(), &window, &empty);
   EXPECT_DOUBLE_EQ(window, 0.0);
 
   // Truth access (evaluation only): increments over each component's
@@ -206,7 +208,8 @@ TEST(UtilizationProbeTest, FeatureStreamCarriesNoCalibratedWattage) {
   UtilizationProbe probe(&machine, sim.Now());
   sim.RunUntil(odsim::SimTime::Seconds(5));
   double window = 0.0;
-  std::vector<double> phi = probe.DrainWindow(sim.Now(), &window);
+  std::vector<double> phi;
+  probe.DrainWindow(sim.Now(), &window, &phi);
   ASSERT_EQ(phi.size(), 2u);
   EXPECT_DOUBLE_EQ(phi[0], 1.0);
   EXPECT_DOUBLE_EQ(phi[1], 0.0);  // Resting: no trace of the 4 W draw.

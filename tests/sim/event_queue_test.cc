@@ -1,6 +1,11 @@
 #include "src/sim/event_queue.h"
 
 #include <cstdint>
+#include <functional>
+#include <random>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -223,6 +228,240 @@ TEST(EventQueueTest, CompactionPreservesPopOrder) {
       EXPECT_LT(prev % 10, cur % 10) << "time order violated";
     }
   }
+}
+
+// Cancelling the open tail (the last pushed event) leaves it queued; a push
+// at the same time may join its chain, and must still fire after the
+// earlier survivors.  Once the cancelled tail has been skipped and freed, a
+// push at that time opens a fresh chain.
+TEST(EventQueueTest, CancelledOpenTailThenPushAtSameTime) {
+  EventQueue q;
+  std::vector<int> order;
+  SimTime at = SimTime::Seconds(3);
+  q.Push(at, [&] { order.push_back(1); });
+  q.Push(at, [&] { order.push_back(2); });
+  EventHandle tail = q.Push(at, [&] { order.push_back(3); });
+  tail.Cancel();
+  q.Push(at, [&] { order.push_back(4); });
+  EXPECT_EQ(q.heap_entries_for_testing(), 1u);
+  while (!q.empty()) {
+    q.Pop().fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+
+  order.clear();
+  EventHandle lone = q.Push(at, [&] { order.push_back(5); });
+  lone.Cancel();
+  EXPECT_TRUE(q.empty());  // Skips and frees the cancelled tail.
+  EXPECT_EQ(q.size_for_testing(), 0u);
+  q.Push(at, [&] { order.push_back(6); });
+  q.Push(at, [&] { order.push_back(7); });
+  EXPECT_EQ(q.heap_entries_for_testing(), 1u);
+  while (!q.empty()) {
+    q.Pop().fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{6, 7}));
+}
+
+// The fleet shape: thousands of events pushed back to back on one tick
+// occupy a single heap entry and drain FIFO without a sift.
+TEST(EventQueueTest, SameTimeBurstOccupiesOneHeapEntry) {
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(SimTime::Seconds(9), [&] { order.push_back(-1); });
+  constexpr int kBurst = 2000;
+  for (int i = 0; i < kBurst; ++i) {
+    q.Push(SimTime::Seconds(2), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.heap_entries_for_testing(), 2u);
+  EXPECT_EQ(q.size_for_testing(), static_cast<size_t>(kBurst) + 1);
+  while (!q.empty()) {
+    q.Pop().fn();
+  }
+  ASSERT_EQ(order.size(), static_cast<size_t>(kBurst) + 1);
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  }
+  EXPECT_EQ(order.back(), -1);
+  EXPECT_EQ(q.heap_entries_for_testing(), 0u);
+}
+
+// Differential check of the pop order against an ordered set of
+// (time, seq) keys over a seeded stream of ~100k operations: same-time
+// bursts, ties spread over several chains, pushes at the timestamp being
+// drained from inside a firing event, reserved sequence numbers probed
+// with TopOrdersBefore, and cancels of chain heads, middles and the open
+// tail heavy enough to force compaction.
+TEST(EventQueueTest, MatchesOrderedSetReferenceUnderMixedTraffic) {
+  using Key = std::pair<int64_t, uint64_t>;  // (time in us, seq)
+  struct Live {
+    SimTime at;
+    EventHandle handle;
+  };
+  EventQueue q;
+  std::set<Key> ref;
+  std::unordered_map<uint64_t, Live> live;
+  std::vector<uint64_t> fired;     // Seqs in the order the queue fired them.
+  std::vector<uint64_t> expected;  // Seqs in the reference's order.
+  std::mt19937_64 rng(20261018);
+  uint64_t next_seq = 0;
+  uint64_t last_pushed = 0;
+  SimTime now = SimTime::Zero();
+  long ops = 0;
+  int inside_pushes = 0;
+  int compactions = 0;
+  auto chance = [&](uint64_t one_in) { return rng() % one_in == 0; };
+
+  std::function<void(SimTime)> push;
+  auto on_fire = [&](uint64_t seq) {
+    fired.push_back(seq);
+    if (chance(8)) {  // Schedule(0) from inside the event being drained.
+      push(now);
+      ++inside_pushes;
+    }
+  };
+  push = [&](SimTime at) {
+    uint64_t seq = next_seq++;
+    live[seq] = Live{at, q.Push(at, [&on_fire, seq] { on_fire(seq); })};
+    ref.insert(Key{at.micros(), seq});
+    last_pushed = seq;
+    ++ops;
+  };
+  // Ties come from a coarse tick grid, so one timestamp gathers several
+  // chains as well as back-to-back runs.
+  auto pick_time = [&] {
+    switch (rng() % 4) {
+      case 0:
+        return now;
+      case 1:
+        return now + SimTime::Micros(static_cast<int64_t>(1 + rng() % 5));
+      default:
+        return now + SimTime::Millis(static_cast<int64_t>(rng() % 8) * 500);
+    }
+  };
+  auto pop_one = [&]() -> bool {
+    ++ops;
+    if (ref.empty()) {
+      EventQueue::Popped none;
+      EXPECT_FALSE(q.PopIfAtOrBefore(SimTime::Max(), &none));
+      return true;
+    }
+    Key want = *ref.begin();
+    SimTime want_time = SimTime::Micros(want.first);
+    EventQueue::Popped popped;
+    if (want.first > 0 && chance(16)) {
+      EXPECT_FALSE(q.PopIfAtOrBefore(want_time - SimTime::Micros(1), &popped));
+    }
+    EXPECT_EQ(q.NextTime(), want_time);
+    if (!q.PopIfAtOrBefore(want_time, &popped)) {
+      ADD_FAILURE() << "queue empty, reference holds seq " << want.second;
+      return false;
+    }
+    ref.erase(ref.begin());
+    live.erase(want.second);
+    expected.push_back(want.second);
+    now = popped.time;
+    popped.fn();
+    return fired.size() == expected.size() &&
+           fired[expected.size() - 1] == want.second;
+  };
+  auto cancel = [&](uint64_t seq) {
+    auto it = live.find(seq);
+    if (it == live.end()) {
+      return;
+    }
+    size_t pending_before = q.cancelled_count_for_testing();
+    EventHandle handle = it->second.handle;
+    EXPECT_TRUE(handle.pending());
+    handle.Cancel();
+    handle.Cancel();  // Idempotent.
+    EXPECT_FALSE(handle.pending());
+    ref.erase(Key{it->second.at.micros(), seq});
+    live.erase(it);
+    if (q.cancelled_count_for_testing() == 0 && pending_before > 0) {
+      ++compactions;
+    }
+    ++ops;
+  };
+
+  while (ops < 100000) {
+    uint64_t roll = rng() % 100;
+    if (ref.size() > 20000) {
+      roll = 0;  // Drain: keep the queue (and the test) small.
+    }
+    if (roll < 30) {
+      // Drain everything at the top timestamp.
+      SimTime top = ref.empty() ? SimTime::Zero()
+                                : SimTime::Micros(ref.begin()->first);
+      while (!ref.empty() && ref.begin()->first == top.micros()) {
+        if (!pop_one()) {
+          FAIL() << "pop order diverged after " << expected.size() << " pops";
+        }
+      }
+    } else if (roll < 55) {
+      push(pick_time());
+    } else if (roll < 57) {
+      // A same-time burst of 1-3000 events, sometimes interleaved with a
+      // second timestamp so the two times alternate chains.
+      SimTime at = pick_time();
+      SimTime other = pick_time();
+      bool interleave = chance(4);
+      int burst = 1 + static_cast<int>(rng() % 3000);
+      for (int i = 0; i < burst; ++i) {
+        push(interleave && i % 2 == 1 ? other : at);
+      }
+    } else if (roll < 59) {
+      // A cancel storm over the recent pushes (RPC deadlines all answered
+      // at once): cancelled events come to outnumber live ones, which is
+      // what triggers compaction.
+      uint64_t from = next_seq > 4000 ? next_seq - 4000 : 0;
+      for (uint64_t seq = next_seq; seq-- > from;) {
+        if (!chance(4)) {
+          cancel(seq);
+        }
+      }
+    } else if (roll < 67) {
+      uint64_t reserved = q.ReserveSeq();
+      EXPECT_EQ(reserved, next_seq++);
+      SimTime probe_times[] = {now, pick_time(), pick_time()};
+      for (SimTime at : probe_times) {
+        uint64_t seqs[] = {reserved, rng() % (reserved + 1)};
+        for (uint64_t seq : seqs) {
+          bool want = !ref.empty() && *ref.begin() < Key{at.micros(), seq};
+          EXPECT_EQ(q.TopOrdersBefore(at, seq), want)
+              << "at " << at.micros() << " seq " << seq;
+        }
+      }
+      ++ops;
+    } else if (roll < 75) {
+      if (!ref.empty()) {
+        cancel(ref.begin()->second);  // A chain head.
+      }
+    } else if (roll < 80) {
+      cancel(last_pushed);  // The open tail.
+    } else {
+      // Middles: recent pushes, which sit inside the newest chains.
+      for (int tries = 0; tries < 8; ++tries) {
+        uint64_t back = rng() % 4000;
+        if (back < next_seq && live.count(next_seq - 1 - back) != 0) {
+          cancel(next_seq - 1 - back);
+          break;
+        }
+      }
+    }
+    ASSERT_EQ(q.size_for_testing(),
+              ref.size() + q.cancelled_count_for_testing());
+    ASSERT_LE(q.heap_entries_for_testing(), q.size_for_testing());
+  }
+  while (!ref.empty()) {
+    if (!pop_one()) {
+      FAIL() << "pop order diverged after " << expected.size() << " pops";
+    }
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(inside_pushes, 0);
+  EXPECT_GT(compactions, 0);
 }
 
 }  // namespace
