@@ -6,6 +6,11 @@
 
 namespace odnet {
 
+namespace {
+// Spent queue entries tolerated before a backlogged link compacts.
+constexpr size_t kCompactHead = 32;
+}  // namespace
+
 Link::Link(odsim::Simulator* sim, odpower::PowerManager* pm, const LinkConfig& config)
     : sim_(sim), pm_(pm), config_(config) {
   OD_CHECK(sim != nullptr);
@@ -43,24 +48,32 @@ void Link::Transfer(Direction direction, size_t bytes, odsim::EventFn on_done) {
 }
 
 void Link::StartNext() {
-  if (queue_.empty() || outage_) {
+  if (queue_head_ == queue_.size() || outage_) {
     // During an outage queued transfers stay parked; SetOutage(false)
     // restarts the pump.
     active_ = false;
     return;
   }
   active_ = true;
-  Pending next = std::move(queue_.front());
-  queue_.pop_front();
+  in_flight_ = std::move(queue_[queue_head_++]);
+  if (queue_head_ == queue_.size()) {
+    queue_.clear();
+    queue_head_ = 0;
+  } else if (queue_head_ >= kCompactHead && 2 * queue_head_ >= queue_.size()) {
+    // A link that stays backlogged never drains to empty; drop the spent
+    // prefix once it is at least half the vector (amortized O(1)).
+    queue_.erase(queue_.begin(), queue_.begin() + queue_head_);
+    queue_head_ = 0;
+  }
 
   pm_->BeginNetworkUse();
-  pm_->wavelan()->Set(next.direction == Direction::kSend
+  pm_->wavelan()->Set(in_flight_.direction == Direction::kSend
                           ? odpower::WaveLanState::kTransmit
                           : odpower::WaveLanState::kReceive);
 
   // Interrupt-handler CPU load, spread across the transfer.
-  size_t batches = next.bytes / config_.interrupt_batch_bytes;
-  odsim::SimDuration duration = TransferTime(next.bytes);
+  size_t batches = in_flight_.bytes / config_.interrupt_batch_bytes;
+  odsim::SimDuration duration = TransferTime(in_flight_.bytes);
   for (size_t i = 0; i < batches; ++i) {
     odsim::SimDuration at = duration * (static_cast<double>(i + 1) /
                                         static_cast<double>(batches + 1));
@@ -70,17 +83,22 @@ void Link::StartNext() {
     });
   }
 
-  sim_->Schedule(duration, [this, bytes = next.bytes, duration,
-                            on_done = std::move(next.on_done)]() mutable {
-    total_bytes_ += bytes;
-    total_busy_seconds_ += duration.seconds();
-    pm_->wavelan()->Set(odpower::WaveLanState::kIdle);
-    pm_->EndNetworkUse();
-    if (on_done) {
-      on_done();
-    }
-    StartNext();
-  });
+  in_flight_duration_ = duration;
+  sim_->Schedule(duration, [this] { FinishTransfer(); });
+}
+
+void Link::FinishTransfer() {
+  total_bytes_ += in_flight_.bytes;
+  total_busy_seconds_ += in_flight_duration_.seconds();
+  pm_->wavelan()->Set(odpower::WaveLanState::kIdle);
+  pm_->EndNetworkUse();
+  // Take the completion out first: it may queue another transfer, and the
+  // trailing StartNext reuses in_flight_.
+  odsim::EventFn on_done = std::move(in_flight_.on_done);
+  if (on_done) {
+    on_done();
+  }
+  StartNext();
 }
 
 }  // namespace odnet

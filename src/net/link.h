@@ -10,7 +10,7 @@
 #define SRC_NET_LINK_H_
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "src/power/power_manager.h"
 #include "src/sim/simulator.h"
@@ -49,7 +49,7 @@ class Link {
   // In-flight plus queued transfers.  Streaming sources use this to shed
   // load (drop frames) rather than queue without bound.
   int queued_transfers() const {
-    return static_cast<int>(queue_.size()) + (active_ ? 1 : 0);
+    return static_cast<int>(queue_.size() - queue_head_) + (active_ ? 1 : 0);
   }
 
   const LinkConfig& config() const { return config_; }
@@ -76,17 +76,28 @@ class Link {
 
  private:
   struct Pending {
-    Direction direction;
-    size_t bytes;
+    Direction direction = Direction::kSend;
+    size_t bytes = 0;
     odsim::EventFn on_done;
   };
 
   void StartNext();
+  // Completion of the in-flight transfer.
+  void FinishTransfer();
 
   odsim::Simulator* sim_;
   odpower::PowerManager* pm_;
   LinkConfig config_;
-  std::deque<Pending> queue_;
+  // Waiting transfers, queue_[queue_head_..] in arrival order.  A vector
+  // with a moving head rather than a deque: an idle link holds no memory
+  // (a device fleet has thousands of links), and draining the queue
+  // resets it without freeing its capacity.
+  std::vector<Pending> queue_;
+  size_t queue_head_ = 0;
+  // The transfer on the air while active_; kept here so its completion
+  // event captures only `this`.
+  Pending in_flight_;
+  odsim::SimDuration in_flight_duration_;
   bool active_ = false;
   bool outage_ = false;
   size_t total_bytes_ = 0;

@@ -1,7 +1,6 @@
 #include "src/net/rpc.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/util/check.h"
@@ -21,14 +20,6 @@ const char* RpcStatusName(RpcStatus status) {
   }
   return "unknown";
 }
-
-struct RpcClient::CallState {
-  bool settled = false;
-  int attempt = 1;  // 1-based; attempt - 1 retries have been spent.
-  StatusFn on_complete;
-  odsim::EventHandle deadline_timer;
-  odsim::EventHandle retry_timer;
-};
 
 RpcClient::RpcClient(odsim::Simulator* sim, Link* link, odpower::PowerManager* pm,
                      uint64_t loss_seed)
@@ -50,66 +41,60 @@ void RpcClient::set_config(const RpcConfig& config) {
 
 void RpcClient::Call(size_t request_bytes, size_t reply_bytes,
                      odsim::SimDuration server_time, odsim::EventFn on_reply) {
-  CallWithCompute(
-      request_bytes, reply_bytes,
-      [this, server_time](odsim::EventFn done) {
-        sim_->Schedule(server_time, std::move(done));
-      },
-      std::move(on_reply));
+  Start(request_bytes, reply_bytes, server_time, std::move(on_reply));
 }
 
 void RpcClient::CallWithCompute(size_t request_bytes, size_t reply_bytes,
                                 ComputeFn compute, odsim::EventFn on_reply) {
   // Historical contract: completion fires regardless of outcome and the
-  // caller never learns why.  The status is simply dropped.
-  CallWithStatus(request_bytes, reply_bytes, std::move(compute),
-                 [on_reply = std::move(on_reply)](RpcStatus) {
-                   if (on_reply) {
-                     on_reply();
-                   }
-                 });
+  // caller never learns why.
+  Start(request_bytes, reply_bytes, std::move(compute), std::move(on_reply));
 }
 
 void RpcClient::CallWithStatus(size_t request_bytes, size_t reply_bytes,
                                ComputeFn compute, StatusFn on_complete) {
-  // A plain compute never refuses: adapt it onto the outcome-aware path.
-  CallWithOutcome(
-      request_bytes, reply_bytes,
-      [compute = std::move(compute)](std::function<void(bool)> done) {
-        compute([done = std::move(done)] { done(true); });
-      },
-      std::move(on_complete));
+  Start(request_bytes, reply_bytes, std::move(compute), std::move(on_complete));
 }
 
 void RpcClient::CallWithOutcome(size_t request_bytes, size_t reply_bytes,
                                 OutcomeComputeFn compute, StatusFn on_complete) {
+  Start(request_bytes, reply_bytes, std::move(compute), std::move(on_complete));
+}
+
+void RpcClient::Start(size_t request_bytes, size_t reply_bytes,
+                      ServerSide server, Completion completion) {
+  CallId id = calls_.Acquire();
+  CallState& call = calls_.Get(id);
+  call.request_bytes = request_bytes;
+  call.reply_bytes = reply_bytes;
+  call.server = std::move(server);
+  call.completion = std::move(completion);
   // Hold the interface out of standby across the whole exchange: the client
   // must listen for the reply while the server computes.
   pm_->BeginNetworkUse();
-  auto state = std::make_shared<CallState>();
-  state->on_complete = std::move(on_complete);
   if (config_.deadline > odsim::SimDuration::Zero()) {
-    state->deadline_timer = sim_->Schedule(config_.deadline, [this, state] {
-      if (state->settled) {
-        return;
-      }
+    // Settle cancels both timers, so they only ever fire for a live call.
+    call.deadline_timer = sim_->Schedule(config_.deadline, [this, id] {
       ++deadlines_exceeded_;
-      Settle(state, RpcStatus::kDeadlineExceeded);
+      Settle(id, RpcStatus::kDeadlineExceeded);
     });
   }
-  Attempt(request_bytes, reply_bytes, compute, state);
+  Attempt(id);
 }
 
-void RpcClient::Settle(const std::shared_ptr<CallState>& state, RpcStatus status) {
-  OD_CHECK(!state->settled);
-  state->settled = true;
-  state->deadline_timer.Cancel();
-  state->retry_timer.Cancel();
+void RpcClient::Settle(CallId id, RpcStatus status) {
+  CallState& call = calls_.Get(id);
+  call.deadline_timer.Cancel();
+  call.retry_timer.Cancel();
+  Completion completion = std::move(call.completion);
+  calls_.Release(id);
   pm_->EndNetworkUse();
-  if (state->on_complete) {
-    StatusFn done = std::move(state->on_complete);
-    state->on_complete = nullptr;
-    done(status);
+  if (StatusFn* on_status = std::get_if<StatusFn>(&completion)) {
+    if (*on_status) {
+      (*on_status)(status);
+    }
+  } else if (odsim::EventFn& on_reply = std::get<odsim::EventFn>(completion)) {
+    on_reply();
   }
 }
 
@@ -128,81 +113,84 @@ odsim::SimDuration RpcClient::BackoffDelay(int retry_index) {
   return base;
 }
 
-void RpcClient::Attempt(size_t request_bytes, size_t reply_bytes,
-                        const OutcomeComputeFn& compute,
-                        const std::shared_ptr<CallState>& state) {
-  // Shared between the request-lost and reply-lost paths.  Captures the
-  // state by value: a retry scheduled before the deadline fires must notice
-  // it fired by the time the timer runs.
-  auto retry = [this, request_bytes, reply_bytes, compute, state] {
-    if (state->settled) {
-      return;
-    }
-    if (state->attempt > config_.max_retries) {
-      ++retries_exhausted_;
-      Settle(state, RpcStatus::kRetriesExhausted);
-      return;
-    }
-    ++retransmissions_;
-    odsim::SimDuration delay = BackoffDelay(state->attempt - 1);
-    state->retry_timer =
-        sim_->Schedule(delay, [this, request_bytes, reply_bytes, compute, state] {
-          if (state->settled) {
-            return;
-          }
-          ++state->attempt;
-          Attempt(request_bytes, reply_bytes, compute, state);
-        });
-  };
+void RpcClient::Attempt(CallId id) {
+  CallState& call = calls_.Get(id);
+  call.request_lost = rng_.Bernoulli(config_.loss_probability);
+  link_->Transfer(Direction::kSend, call.request_bytes,
+                  [this, id] { OnRequestSent(id); });
+}
 
-  bool request_lost = rng_.Bernoulli(config_.loss_probability);
-  link_->Transfer(
-      Direction::kSend, request_bytes,
-      [this, reply_bytes, compute, request_lost, retry, state] {
-        if (state->settled) {
-          return;  // Deadline fired while the request sat in the queue.
-        }
-        if (request_lost) {
-          // The server never saw the request; the client times out.
-          ++request_losses_;
-          retry();
-          return;
-        }
-        compute([this, reply_bytes, retry, state](bool served) {
-          if (state->settled) {
-            return;
-          }
-          if (!served) {
-            // Admission reject: the server answers with a small typed
-            // refusal.  Not retried — the refusal is deliberate, and the
-            // reject reply shares the loss-free fate of being short (the
-            // client treats a lost refusal as the refusal it is only
-            // after its deadline; modeling that adds nothing here).
-            ++rejected_;
-            link_->Transfer(Direction::kReceive, kRejectReplyBytes,
-                            [this, state] {
-                              if (state->settled) {
-                                return;
-                              }
-                              Settle(state, RpcStatus::kRejected);
-                            });
-            return;
-          }
-          bool reply_lost = rng_.Bernoulli(config_.loss_probability);
-          link_->Transfer(Direction::kReceive, reply_bytes,
-                          [this, reply_lost, retry, state] {
-                            if (state->settled) {
-                              return;
-                            }
-                            if (reply_lost) {
-                              ++reply_losses_;
-                              retry();
-                              return;
-                            }
-                            Settle(state, RpcStatus::kOk);
-                          });
-        });
-      });
+void RpcClient::OnRequestSent(CallId id) {
+  CallState* call = calls_.Find(id);
+  if (call == nullptr) {
+    return;  // Deadline fired while the request sat in the queue.
+  }
+  if (call->request_lost) {
+    // The server never saw the request; the client times out.
+    ++request_losses_;
+    Retry(id);
+    return;
+  }
+  if (auto* compute = std::get_if<OutcomeComputeFn>(&call->server)) {
+    (*compute)([this, id](bool served) { OnServerDone(id, served); });
+  } else if (auto* compute = std::get_if<ComputeFn>(&call->server)) {
+    (*compute)([this, id] { OnServerDone(id, true); });
+  } else {
+    sim_->Schedule(std::get<odsim::SimDuration>(call->server),
+                   [this, id] { OnServerDone(id, true); });
+  }
+}
+
+void RpcClient::OnServerDone(CallId id, bool served) {
+  CallState* call = calls_.Find(id);
+  if (call == nullptr) {
+    return;  // The call settled (deadline) while the server worked.
+  }
+  if (!served) {
+    // Admission reject: the server answers with a small typed refusal.
+    // Not retried — the refusal is deliberate, and the reject reply shares
+    // the loss-free fate of being short (the client treats a lost refusal
+    // as the refusal it is only after its deadline; modeling that adds
+    // nothing here).
+    ++rejected_;
+    link_->Transfer(Direction::kReceive, kRejectReplyBytes, [this, id] {
+      if (calls_.Find(id) != nullptr) {
+        Settle(id, RpcStatus::kRejected);
+      }
+    });
+    return;
+  }
+  call->reply_lost = rng_.Bernoulli(config_.loss_probability);
+  link_->Transfer(Direction::kReceive, call->reply_bytes,
+                  [this, id] { OnReplyReceived(id); });
+}
+
+void RpcClient::OnReplyReceived(CallId id) {
+  CallState* call = calls_.Find(id);
+  if (call == nullptr) {
+    return;
+  }
+  if (call->reply_lost) {
+    ++reply_losses_;
+    Retry(id);
+    return;
+  }
+  Settle(id, RpcStatus::kOk);
+}
+
+void RpcClient::Retry(CallId id) {
+  CallState& call = calls_.Get(id);
+  if (call.attempt > config_.max_retries) {
+    ++retries_exhausted_;
+    Settle(id, RpcStatus::kRetriesExhausted);
+    return;
+  }
+  ++retransmissions_;
+  odsim::SimDuration delay = BackoffDelay(call.attempt - 1);
+  call.retry_timer = sim_->Schedule(delay, [this, id] {
+    ++calls_.Get(id).attempt;
+    Attempt(id);
+  });
 }
 
 }  // namespace odnet

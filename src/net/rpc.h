@@ -14,6 +14,22 @@
 // channel is in full outage and transfers never complete.  Callers that care
 // why a call ended use CallWithStatus; the classic Call/CallWithCompute
 // entry points keep their historical contract of always completing.
+//
+// Per-call record.  Each call owns one CallState in a generation-checked
+// slot arena inside the client (odutil::SlotArena).  It holds everything
+// the exchange needs across attempts: the request and reply sizes, the
+// server-side computation (moved in once, never copied), the completion,
+// the attempt number, the current attempt's loss draws and the retry and
+// deadline timers.  Every continuation the call schedules — the deadline,
+// the retry timer, the request and reply transfers, the compute's `done` —
+// captures only {client, CallId}, 16 trivially-copyable bytes that
+// std::function stores inline, so once the arena has warmed up the client
+// allocates nothing beyond what the caller's own closures need.  Settling
+// the call (reply, exhausted retries, deadline, reject) cancels its timers,
+// releases the record and bumps its slot's generation; a continuation
+// that fires later — a transfer that drains after an outage, a server
+// completion racing the deadline — finds a stale generation and does
+// nothing.
 
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
@@ -21,12 +37,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <variant>
 
 #include "src/net/link.h"
 #include "src/power/power_manager.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
+#include "src/util/slot_arena.h"
 
 namespace odnet {
 
@@ -130,18 +147,39 @@ class RpcClient {
   int deadlines_exceeded() const { return deadlines_exceeded_; }
   // Calls the server refused at admission.
   int rejected() const { return rejected_; }
+  // Calls started and not yet settled (records live in the arena).
+  int calls_in_flight() const { return static_cast<int>(calls_.live()); }
 
  private:
-  // Per-call bookkeeping shared by the attempt chain, the retry timer, and
-  // the deadline timer.  `settled` makes late continuations — a transfer
-  // that finally drains after an outage, a reply racing the deadline —
-  // harmless no-ops.
-  struct CallState;
+  // One call's record; see the header comment for its lifetime.  Each
+  // entry point keeps its own form of server side (a fixed delay, a
+  // compute, an outcome-aware compute) and completion (plain or typed), so
+  // Call, CallWithCompute and CallWithStatus run without adapter closures.
+  using ServerSide = std::variant<odsim::SimDuration, ComputeFn, OutcomeComputeFn>;
+  using Completion = std::variant<odsim::EventFn, StatusFn>;
+  struct CallState {
+    size_t request_bytes = 0;
+    size_t reply_bytes = 0;
+    ServerSide server;
+    Completion completion;
+    int attempt = 1;  // 1-based; attempt - 1 retries have been spent.
+    // This attempt's loss draws, made when its message is sent.
+    bool request_lost = false;
+    bool reply_lost = false;
+    odsim::EventHandle deadline_timer;
+    odsim::EventHandle retry_timer;
+  };
+  using CallId = odutil::SlotArena<CallState>::Id;
 
-  void Attempt(size_t request_bytes, size_t reply_bytes,
-               const OutcomeComputeFn& compute,
-               const std::shared_ptr<CallState>& state);
-  void Settle(const std::shared_ptr<CallState>& state, RpcStatus status);
+  // Takes a record for a new call and sends its first attempt.
+  void Start(size_t request_bytes, size_t reply_bytes, ServerSide server,
+             Completion completion);
+  void Attempt(CallId id);
+  void OnRequestSent(CallId id);
+  void OnServerDone(CallId id, bool served);
+  void OnReplyReceived(CallId id);
+  void Retry(CallId id);
+  void Settle(CallId id, RpcStatus status);
   odsim::SimDuration BackoffDelay(int retry_index);
 
   odsim::Simulator* sim_;
@@ -155,6 +193,7 @@ class RpcClient {
   int retries_exhausted_ = 0;
   int deadlines_exceeded_ = 0;
   int rejected_ = 0;
+  odutil::SlotArena<CallState> calls_;
 };
 
 }  // namespace odnet

@@ -25,35 +25,55 @@ void Warden::FetchKeyed(const std::string& key, size_t request_bytes,
                         size_t reply_bytes, odsim::SimDuration server_time,
                         OutcomeFn on_done) {
   OD_CHECK_MSG(viceroy_ != nullptr, "warden used before registration");
-  RemoteServer* server = server_.get();
-  // The serve outcome is produced inside the compute step and consumed by
-  // the status completion; the shared slot carries it across.
-  auto serve = std::make_shared<odserve::ServeOutcome>(odserve::ServeOutcome::kServed);
+  KeyedId id = keyed_.Acquire();
+  KeyedFetch& fetch = keyed_.Get(id);
+  fetch.key = key;
+  fetch.server_time = server_time;
+  fetch.on_done = std::move(on_done);
   viceroy_->rpc().CallWithOutcome(
       request_bytes, reply_bytes,
-      [server, key, server_time, serve](std::function<void(bool)> done) {
-        server->SubmitKeyed(key, server_time,
-                            [serve, done = std::move(done)](odserve::ServeOutcome o) {
-                              *serve = o;
-                              done(o != odserve::ServeOutcome::kRejected);
-                            });
+      [this, id](std::function<void(bool)> served) {
+        SubmitKeyed(id, std::move(served));
       },
-      [this, serve, on_done = std::move(on_done)](odnet::RpcStatus status) {
-        if (status == odnet::RpcStatus::kRejected) {
-          ++rejected_fetches_;
-          viceroy_->NotifyAdmissionReject();
-        } else if (status != odnet::RpcStatus::kOk) {
-          ++failed_fetches_;
-        } else {
-          if (*serve == odserve::ServeOutcome::kCacheHit) {
-            ++cache_hits_;
-          }
-          viceroy_->NotifyFetchOk();
-        }
-        if (on_done) {
-          on_done(FetchOutcome{status, *serve});
-        }
-      });
+      [this, id](odnet::RpcStatus status) { FinishKeyed(id, status); });
+}
+
+void Warden::SubmitKeyed(KeyedId id, std::function<void(bool)> served) {
+  // The RPC computes only for a call it has not settled, and the record
+  // lives until it settles.
+  KeyedFetch& fetch = keyed_.Get(id);
+  fetch.served = std::move(served);
+  server_->SubmitKeyed(fetch.key, fetch.server_time,
+                       [this, id](odserve::ServeOutcome outcome) {
+                         KeyedFetch* fetch = keyed_.Find(id);
+                         if (fetch == nullptr) {
+                           return;  // The call settled while the server worked.
+                         }
+                         fetch->serve = outcome;
+                         std::function<void(bool)> served = std::move(fetch->served);
+                         served(outcome != odserve::ServeOutcome::kRejected);
+                       });
+}
+
+void Warden::FinishKeyed(KeyedId id, odnet::RpcStatus status) {
+  KeyedFetch& fetch = keyed_.Get(id);
+  FetchOutcome outcome{status, fetch.serve};
+  OutcomeFn on_done = std::move(fetch.on_done);
+  keyed_.Release(id);
+  if (status == odnet::RpcStatus::kRejected) {
+    ++rejected_fetches_;
+    viceroy_->NotifyAdmissionReject();
+  } else if (status != odnet::RpcStatus::kOk) {
+    ++failed_fetches_;
+  } else {
+    if (outcome.serve == odserve::ServeOutcome::kCacheHit) {
+      ++cache_hits_;
+    }
+    viceroy_->NotifyFetchOk();
+  }
+  if (on_done) {
+    on_done(outcome);
+  }
 }
 
 void Warden::FetchWithStatus(size_t request_bytes, size_t reply_bytes,

@@ -17,6 +17,7 @@
 #include "src/net/rpc.h"
 #include "src/odyssey/server.h"
 #include "src/sim/simulator.h"
+#include "src/util/slot_arena.h"
 
 namespace odyssey {
 
@@ -81,12 +82,32 @@ class Warden {
  private:
   friend class Viceroy;
 
+  // One keyed fetch in flight.  The RPC's compute step and the server's
+  // completion capture only {warden, KeyedId}; the record is released when
+  // the RPC settles, so a server completion that arrives after a deadline
+  // finds a stale id and does nothing.
+  struct KeyedFetch {
+    std::string key;
+    odsim::SimDuration server_time;
+    // How the service satisfied the latest attempt; a retransmitted
+    // request recomputes and overwrites it.
+    odserve::ServeOutcome serve = odserve::ServeOutcome::kServed;
+    // The RPC's completion for the attempt the server is working on.
+    std::function<void(bool served)> served;
+    OutcomeFn on_done;
+  };
+  using KeyedId = odutil::SlotArena<KeyedFetch>::Id;
+
+  void SubmitKeyed(KeyedId id, std::function<void(bool served)> served);
+  void FinishKeyed(KeyedId id, odnet::RpcStatus status);
+
   std::string data_type_;
   Viceroy* viceroy_ = nullptr;  // Set at registration.
   std::unique_ptr<RemoteServer> server_;
   int failed_fetches_ = 0;
   int rejected_fetches_ = 0;
   int cache_hits_ = 0;
+  odutil::SlotArena<KeyedFetch> keyed_;
 };
 
 }  // namespace odyssey
