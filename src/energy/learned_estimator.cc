@@ -32,7 +32,14 @@ double LearnedEstimator::OnSample(odsim::SimTime now, double gauge_watts,
       combination |= uint64_t{1} << i;
     }
   }
-  CombinationRecord& record = combination_seconds_[combination];
+  // Consecutive samples usually hold the same combination; the map is
+  // consulted only when it changes.  unordered_map element references
+  // survive rehashing, so the cached pointer stays valid.
+  if (last_record_ == nullptr || combination != last_combination_) {
+    last_record_ = &combination_seconds_[combination];
+    last_combination_ = combination;
+  }
+  CombinationRecord& record = *last_record_;
   // Decay on twice the RLS memory (samples-to-seconds via this window),
   // measured on the model's *training* clock: combos refreshed at even a
   // modest duty cycle stay judged, combos the forgetting has flushed drop

@@ -124,6 +124,9 @@ class LearnedEstimator {
     double trained_at = 0.0;
   };
   std::unordered_map<uint64_t, CombinationRecord> combination_seconds_;
+  // The record of the last sample's combination, and its key.
+  CombinationRecord* last_record_ = nullptr;
+  uint64_t last_combination_ = 0;
   double trained_seconds_total_ = 0.0;
   double last_state_excitation_seconds_ = 0.0;
 };

@@ -6,11 +6,6 @@
 
 namespace odnet {
 
-namespace {
-// Spent queue entries tolerated before a backlogged link compacts.
-constexpr size_t kCompactHead = 32;
-}  // namespace
-
 Link::Link(odsim::Simulator* sim, odpower::PowerManager* pm, const LinkConfig& config)
     : sim_(sim), pm_(pm), config_(config) {
   OD_CHECK(sim != nullptr);
@@ -48,23 +43,14 @@ void Link::Transfer(Direction direction, size_t bytes, odsim::EventFn on_done) {
 }
 
 void Link::StartNext() {
-  if (queue_head_ == queue_.size() || outage_) {
+  if (queue_.empty() || outage_) {
     // During an outage queued transfers stay parked; SetOutage(false)
     // restarts the pump.
     active_ = false;
     return;
   }
   active_ = true;
-  in_flight_ = std::move(queue_[queue_head_++]);
-  if (queue_head_ == queue_.size()) {
-    queue_.clear();
-    queue_head_ = 0;
-  } else if (queue_head_ >= kCompactHead && 2 * queue_head_ >= queue_.size()) {
-    // A link that stays backlogged never drains to empty; drop the spent
-    // prefix once it is at least half the vector (amortized O(1)).
-    queue_.erase(queue_.begin(), queue_.begin() + queue_head_);
-    queue_head_ = 0;
-  }
+  in_flight_ = queue_.pop_front();
 
   pm_->BeginNetworkUse();
   pm_->wavelan()->Set(in_flight_.direction == Direction::kSend

@@ -10,10 +10,10 @@
 #define SRC_NET_LINK_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "src/power/power_manager.h"
 #include "src/sim/simulator.h"
+#include "src/util/vector_fifo.h"
 
 namespace odnet {
 
@@ -49,7 +49,7 @@ class Link {
   // In-flight plus queued transfers.  Streaming sources use this to shed
   // load (drop frames) rather than queue without bound.
   int queued_transfers() const {
-    return static_cast<int>(queue_.size() - queue_head_) + (active_ ? 1 : 0);
+    return static_cast<int>(queue_.size()) + (active_ ? 1 : 0);
   }
 
   const LinkConfig& config() const { return config_; }
@@ -88,12 +88,8 @@ class Link {
   odsim::Simulator* sim_;
   odpower::PowerManager* pm_;
   LinkConfig config_;
-  // Waiting transfers, queue_[queue_head_..] in arrival order.  A vector
-  // with a moving head rather than a deque: an idle link holds no memory
-  // (a device fleet has thousands of links), and draining the queue
-  // resets it without freeing its capacity.
-  std::vector<Pending> queue_;
-  size_t queue_head_ = 0;
+  // Waiting transfers in arrival order.
+  odutil::VectorFifo<Pending> queue_;
   // The transfer on the air while active_; kept here so its completion
   // event captures only `this`.
   Pending in_flight_;

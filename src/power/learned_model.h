@@ -31,6 +31,27 @@
 // The confidence signal combines sample count with a normalized one-step
 // prediction-error EWMA; converged() is the binary form the drift sentinel
 // gates on.
+//
+// Touched-block layout.  A feature that has never been nonzero keeps an
+// inert covariance row and column: exactly zero off the diagonal, with a
+// coefficient the update never moves.  Under finite arithmetic the full RLS
+// update leaves that state unchanged bit for bit, apart from dividing its
+// diagonal by lambda (which the guard then caps again).  So P is stored
+// permuted: the touched features (ever nonzero) come first, in ascending
+// feature order, and a feature is moved into that block the first time it
+// is nonzero.  P phi and the gain denominator are summed over phi's
+// nonzero terms only, in ascending feature order; the rank-1 update and its
+// symmetrization run over the touched block in contiguous row loops, and
+// inert features only have their diagonal divided.  Every skipped term is
+// an exact +-0 added to a sum that is never -0, so the result is
+// bit-identical to the full form.
+//
+// That argument needs finite operands.  Every finiteness check runs before
+// anything is committed: if the prediction, P phi, the denominator, the
+// gains or the innovation is non-finite, or an update left P non-finite,
+// P is permuted back into feature order and this update and every later
+// one run the full form over all features and every term, so that
+// inf * 0 = NaN propagates exactly as it always did.
 
 #ifndef SRC_POWER_LEARNED_MODEL_H_
 #define SRC_POWER_LEARNED_MODEL_H_
@@ -102,22 +123,45 @@ class LearnedModel {
   int skipped_updates() const { return skipped_updates_; }
 
  private:
-  double& P(int row, int col) {
-    return p_[static_cast<size_t>(row * dim_ + col)];
+  // Storage index of (row, col) in p_; rows and columns are storage
+  // positions, not feature indices.
+  size_t At(int row, int col) const {
+    return static_cast<size_t>(row) * static_cast<size_t>(dim_) +
+           static_cast<size_t>(col);
   }
-  double Pc(int row, int col) const {
-    return p_[static_cast<size_t>(row * dim_ + col)];
-  }
+  void FoldPredictionError(double measured_watts, double predicted);
+  // Moves `feature` into the touched block at its ascending-order slot.
+  void Admit(int feature);
+  // Moves the feature at storage position `from` to position `to` (to <=
+  // from); the features at [to, from) move up by one.
+  void MoveToPosition(int from, int to);
+  // Permutes P back into feature order; every later update runs the full
+  // form.
+  void SwitchToFullForm();
+  // Guards the diagonal and counts the sample; shared tail of both forms.
+  void GuardAndCount();
+  // The full-form update over every feature and every term, with P in
+  // feature order.
+  void ObserveFull(const std::vector<double>& phi, double measured_watts);
 
   int dim_;
   LearnedModelConfig config_;
   // EWMA weight of one sample in the error and level averages, from
   // config_.error_half_life_samples.
   double error_alpha_;
-  std::vector<double> theta_;  // Fitted coefficients, watts.
-  std::vector<double> p_;      // Covariance, row-major dim x dim.
-  std::vector<double> gain_;   // Scratch: k = P phi / denom.
-  std::vector<double> pphi_;   // Scratch: P phi.
+  std::vector<double> theta_;  // Fitted coefficients, watts, feature order.
+  std::vector<double> p_;      // Covariance, row-major dim x dim, storage order.
+  // position_[feature] is the feature's storage position; order_ inverts it.
+  std::vector<int> position_;
+  std::vector<int> order_;
+  // Touched features occupy storage positions [0, touched_).
+  int touched_ = 0;
+  // Set once a non-finite operand was seen: every update runs the full form
+  // and P stays in feature order.
+  bool full_form_ = false;
+  std::vector<double> gain_;     // Scratch: k = P phi / denom, storage order.
+  std::vector<double> pphi_;     // Scratch: P phi, storage order.
+  std::vector<int> nonzero_feature_;  // Scratch: features with phi != 0.
   int samples_ = 0;
   int guarded_updates_ = 0;
   int skipped_updates_ = 0;
