@@ -11,6 +11,9 @@ constexpr int kVideo = 0;
 constexpr int kSpeech = 1;
 constexpr int kWeb = 2;
 constexpr int kMap = 3;
+constexpr odsim::SimDuration kMinute = odsim::SimDuration::Seconds(60);
+// Units per active minute for the request-driven applications.
+constexpr int kUnitsPerMinute = 5;
 }  // namespace
 
 BurstyWorkload::BurstyWorkload(odsim::Simulator* sim, VideoPlayer* video,
@@ -67,7 +70,7 @@ void BurstyWorkload::MinuteTick() {
   }
   for (int i = 0; i < 4; ++i) {
     if (active_[static_cast<size_t>(i)]) {
-      active_until_[static_cast<size_t>(i)] = now + config_.minute;
+      active_until_[static_cast<size_t>(i)] = now + kMinute;
     }
   }
   recorded_.minutes.push_back(active_);
@@ -75,16 +78,13 @@ void BurstyWorkload::MinuteTick() {
   if (video_active()) {
     DriveVideo();
   }
-  if (speech_active() && !chain_running_[kSpeech]) {
-    DriveSpeech(active_until_[kSpeech]);
+  for (int app : {kSpeech, kWeb, kMap}) {
+    size_t i = static_cast<size_t>(app);
+    if (active_[i] && !chain_running_[i]) {
+      DriveRate(app);
+    }
   }
-  if (web_active() && !chain_running_[kWeb]) {
-    DriveWeb(active_until_[kWeb]);
-  }
-  if (map_active() && !chain_running_[kMap]) {
-    DriveMap(active_until_[kMap]);
-  }
-  tick_ = sim_->Schedule(config_.minute, [this] { MinuteTick(); });
+  tick_ = sim_->Schedule(kMinute, [this] { MinuteTick(); });
 }
 
 void BurstyWorkload::DriveVideo() {
@@ -105,68 +105,35 @@ void BurstyWorkload::DriveVideo() {
   });
 }
 
-void BurstyWorkload::DriveSpeech(odsim::SimTime /*active_until*/) {
-  if (!running_ || sim_->Now() >= active_until_[kSpeech] || speech_->busy()) {
-    chain_running_[kSpeech] = false;
+void BurstyWorkload::DriveRate(int app) {
+  const size_t i = static_cast<size_t>(app);
+  auto busy = [&] {
+    return app == kSpeech ? speech_->busy()
+                          : app == kWeb ? web_->busy() : map_->busy();
+  };
+  if (!running_ || sim_->Now() >= active_until_[i] || busy()) {
+    chain_running_[i] = false;
     return;
   }
-  chain_running_[kSpeech] = true;
+  chain_running_[i] = true;
   odsim::SimTime unit_start = sim_->Now();
-  odsim::SimDuration spacing = odsim::SimDuration::Seconds(
-      60.0 / config_.speech_utterances_per_minute);
-  const auto& utterances = StandardUtterances();
-  const Utterance& utterance =
-      utterances[static_cast<size_t>(next_object_[kSpeech]++ % 4)];
-  speech_->Recognize(utterance, [this, unit_start, spacing] {
-    odsim::SimTime next = unit_start + spacing;
+  auto next_unit = [this, app, unit_start] {
+    odsim::SimTime next =
+        unit_start + odsim::SimDuration::Seconds(60.0 / kUnitsPerMinute);
     if (next <= sim_->Now()) {
-      DriveSpeech(active_until_[kSpeech]);
+      DriveRate(app);
     } else {
-      sim_->ScheduleAt(next, [this] { DriveSpeech(active_until_[kSpeech]); });
+      sim_->ScheduleAt(next, [this, app] { DriveRate(app); });
     }
-  });
-}
-
-void BurstyWorkload::DriveWeb(odsim::SimTime /*active_until*/) {
-  if (!running_ || sim_->Now() >= active_until_[kWeb] || web_->busy()) {
-    chain_running_[kWeb] = false;
-    return;
+  };
+  const size_t object = static_cast<size_t>(next_object_[i]++ % 4);
+  if (app == kSpeech) {
+    speech_->Recognize(StandardUtterances()[object], next_unit);
+  } else if (app == kWeb) {
+    web_->BrowsePage(StandardWebImages()[object], next_unit);
+  } else {
+    map_->ViewMap(StandardMaps()[object], next_unit);
   }
-  chain_running_[kWeb] = true;
-  odsim::SimTime unit_start = sim_->Now();
-  odsim::SimDuration spacing =
-      odsim::SimDuration::Seconds(60.0 / config_.pages_per_minute);
-  const auto& images = StandardWebImages();
-  const WebImage& image = images[static_cast<size_t>(next_object_[kWeb]++ % 4)];
-  web_->BrowsePage(image, [this, unit_start, spacing] {
-    odsim::SimTime next = unit_start + spacing;
-    if (next <= sim_->Now()) {
-      DriveWeb(active_until_[kWeb]);
-    } else {
-      sim_->ScheduleAt(next, [this] { DriveWeb(active_until_[kWeb]); });
-    }
-  });
-}
-
-void BurstyWorkload::DriveMap(odsim::SimTime /*active_until*/) {
-  if (!running_ || sim_->Now() >= active_until_[kMap] || map_->busy()) {
-    chain_running_[kMap] = false;
-    return;
-  }
-  chain_running_[kMap] = true;
-  odsim::SimTime unit_start = sim_->Now();
-  odsim::SimDuration spacing =
-      odsim::SimDuration::Seconds(60.0 / config_.maps_per_minute);
-  const auto& maps = StandardMaps();
-  const MapObject& map = maps[static_cast<size_t>(next_object_[kMap]++ % 4)];
-  map_->ViewMap(map, [this, unit_start, spacing] {
-    odsim::SimTime next = unit_start + spacing;
-    if (next <= sim_->Now()) {
-      DriveMap(active_until_[kMap]);
-    } else {
-      sim_->ScheduleAt(next, [this] { DriveMap(active_until_[kMap]); });
-    }
-  });
 }
 
 }  // namespace odapps

@@ -35,11 +35,6 @@ class BurstyWorkload {
  public:
   struct Config {
     double switch_probability = 0.1;
-    odsim::SimDuration minute = odsim::SimDuration::Seconds(60);
-    // Units per active minute for the request-driven applications.
-    int speech_utterances_per_minute = 5;
-    int maps_per_minute = 5;
-    int pages_per_minute = 5;
     // When non-empty, states follow this schedule (repeating its last
     // minute if the run outlives it) instead of the Markov draws.
     MinuteSchedule replay;
@@ -73,9 +68,9 @@ class BurstyWorkload {
  private:
   void MinuteTick();
   void DriveVideo();
-  void DriveSpeech(odsim::SimTime active_until);
-  void DriveWeb(odsim::SimTime active_until);
-  void DriveMap(odsim::SimTime active_until);
+  // Runs one unit of a request-driven application (speech, web or map) and
+  // chains the next at the fixed per-minute rate while the app is active.
+  void DriveRate(int app);
 
   odsim::Simulator* sim_;
   VideoPlayer* video_;

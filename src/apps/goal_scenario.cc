@@ -12,6 +12,10 @@
 #include "src/util/check.h"
 
 namespace odapps {
+namespace {
+// Section 5.2's validation workload starts the composite every 25 s.
+constexpr odsim::SimDuration kCompositePeriod = odsim::SimDuration::Seconds(25);
+}  // namespace
 
 GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   TestBed bed(TestBed::Options{
@@ -101,7 +105,7 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
                                               &bed.map(), &bed.rng());
     bursty->Start();
   } else {
-    composite.StartPeriodic(options.composite_period);
+    composite.StartPeriodic(kCompositePeriod);
     bed.video().PlayLooping(StandardVideoClips()[0]);
   }
 
@@ -164,28 +168,29 @@ GoalScenarioResult RunGoalScenario(const GoalScenarioOptions& options) {
   }
   result.outcome = director.outcome();
   result.estimated_residual_joules = director.EstimatedResidualJoules();
-  result.final_health = director.health();
-  result.safe_mode_seconds = director.SafeModeSeconds(end);
-  result.safe_mode_entries = director.safe_mode_entries();
-  result.invalid_samples = director.invalid_samples();
-  result.telemetry_gaps = director.telemetry_gaps();
+  const odenergy::TelemetryHealth& telemetry = director.telemetry();
+  result.final_health = telemetry.health();
+  result.safe_mode_seconds = telemetry.safe_mode().Seconds(end);
+  result.safe_mode_entries = telemetry.safe_mode().entries();
+  result.invalid_samples = telemetry.invalid_samples();
+  result.telemetry_gaps = telemetry.telemetry_gaps();
   result.outage_clamps = bed.viceroy().outage_clamps();
   result.accounted_joules = bed.laptop().accounting().TotalJoules(end);
   if (learned != nullptr) {
     result.learned_joules = learned->learned_joules();
     result.learned_converged = learned->converged_once();
     result.learned_confidence = learned->model().confidence();
-    result.learned_primary_active = director.learned_primary_active();
+    result.learned_primary_active = telemetry.learned_primary_active();
     result.coefficient_recovery_error =
         learned->CoefficientRecoveryError(/*min_excitation_seconds=*/30.0,
                                           /*min_true_watts=*/0.05);
     result.coefficient_report = learned->Report();
-    result.drift_entries = director.drift_entries();
-    result.drift_seconds = director.DriftSeconds(end);
-    result.drift_correction_joules = director.drift_correction_joules();
-    if (director.first_drift_detected().has_value()) {
+    result.drift_entries = telemetry.drift().entries();
+    result.drift_seconds = telemetry.drift().Seconds(end);
+    result.drift_correction_joules = telemetry.drift_correction_joules();
+    if (telemetry.drift().first_entered().has_value()) {
       result.first_drift_detected_seconds =
-          (*director.first_drift_detected() - start).seconds();
+          (*telemetry.drift().first_entered() - start).seconds();
     }
   }
   if (bed.tracer() != nullptr) {
@@ -226,7 +231,7 @@ double MeasurePinnedLifetime(double initial_joules, bool lowest_fidelity,
   odpower::EnergySupply supply(&bed.laptop().accounting(), initial_joules);
 
   CompositeApp composite(&bed.sim(), &bed.speech(), &bed.web(), &bed.map());
-  composite.StartPeriodic(odsim::SimDuration::Seconds(25));
+  composite.StartPeriodic(kCompositePeriod);
   bed.video().PlayLooping(StandardVideoClips()[0]);
 
   // Poll for exhaustion at one-second granularity.

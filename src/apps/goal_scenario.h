@@ -34,10 +34,9 @@ struct GoalScenarioOptions {
   odsim::SimDuration goal = odsim::SimDuration::Seconds(1200);
   odenergy::GoalDirectorConfig director;
 
-  // Workload: composite every `composite_period` + looping video
-  // (Section 5.2), or the stochastic bursty workload (Section 5.4).
+  // Workload: composite every 25 s + looping video (Section 5.2), or the
+  // stochastic bursty workload (Section 5.4).
   bool bursty = false;
-  odsim::SimDuration composite_period = odsim::SimDuration::Seconds(25);
 
   // Generic workload hook: when set, replaces the built-in workloads above.
   // Called after Settle() with the run's TestBed; drives whatever it likes

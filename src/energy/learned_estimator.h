@@ -210,8 +210,9 @@ class DriftSentinel {
   // Relative divergence over the confident intervals only.
   double WindowDivergence() const;
 
-  // Drops the window (on drift entry/exit and safe-mode entry, so a stale
-  // window cannot double-charge a correction or re-trigger instantly).
+  // Drops the window (on drift entry and exit, including the exit a
+  // safe-mode entry forces, so a stale window cannot double-charge a
+  // correction or re-trigger instantly).
   void ResetWindow();
 
  private:

@@ -320,16 +320,13 @@ void LearnedModel::GuardAndCount() {
   // Covariance guard.  Forgetting inflates the variance of features that
   // stop being excited (1/lambda per step, unbounded); cap the diagonal at
   // the prior, and if the spread between the best- and worst-determined
-  // directions still exceeds max_condition, lift the floor too.  Either
-  // intervention counts as a guarded update.  Neither pass depends on the
-  // order of the diagonal, so it runs in storage order.
-  bool guarded = false;
+  // directions still exceeds max_condition, lift the floor too.  Neither
+  // pass depends on the order of the diagonal, so it runs in storage order.
   double max_diag = 0.0;
   for (int i = 0; i < dim_; ++i) {
     double& diagonal = p_[At(i, i)];
     if (diagonal > config_.initial_variance) {
       diagonal = config_.initial_variance;
-      guarded = true;
     }
     max_diag = std::max(max_diag, diagonal);
   }
@@ -338,11 +335,7 @@ void LearnedModel::GuardAndCount() {
     double& diagonal = p_[At(i, i)];
     if (diagonal < floor) {
       diagonal = floor;
-      guarded = true;
     }
-  }
-  if (guarded) {
-    ++guarded_updates_;
   }
   ++samples_;
 }

@@ -117,8 +117,6 @@ class LearnedModel {
   double prediction_error_fraction() const;
   // max(diag P) / min(diag P) — the guard's condition proxy.
   double condition_proxy() const;
-  // Times the covariance guard re-regularized the diagonal.
-  int guarded_updates() const { return guarded_updates_; }
   // Observations skipped for a degenerate gain denominator.
   int skipped_updates() const { return skipped_updates_; }
 
@@ -163,7 +161,6 @@ class LearnedModel {
   std::vector<double> pphi_;     // Scratch: P phi, storage order.
   std::vector<int> nonzero_feature_;  // Scratch: features with phi != 0.
   int samples_ = 0;
-  int guarded_updates_ = 0;
   int skipped_updates_ = 0;
   double error_ewma_ = 0.0;
   double level_ewma_ = 0.0;

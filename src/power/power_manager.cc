@@ -79,6 +79,11 @@ void PowerManager::AccessDisk(odsim::SimDuration duration, odsim::EventFn on_don
       if (on_done) {
         on_done();
       }
+      // A request issued by `on_done` already holds the disk; the queue
+      // head waits for it rather than being re-queued behind the others.
+      if (disk_busy_) {
+        return;
+      }
       if (!disk_queue_.empty()) {
         DiskRequest next = disk_queue_.pop_front();
         AccessDisk(next.duration, std::move(next.on_done));

@@ -70,13 +70,13 @@ TEST(ControllerHealthTest, CleanFeedStaysHealthy) {
                         odsim::SimTime::Seconds(600));
   director.Start(false);
   rig.sim.RunUntil(odsim::SimTime::Seconds(20));
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_EQ(director.safe_mode_entries(), 0);
-  EXPECT_EQ(director.invalid_samples(), 0);
-  EXPECT_EQ(director.telemetry_gaps(), 0);
-  EXPECT_DOUBLE_EQ(director.telemetry_debit_joules(), 0.0);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
+  EXPECT_EQ(director.telemetry().safe_mode().entries(), 0);
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
+  EXPECT_EQ(director.telemetry().telemetry_gaps(), 0);
+  EXPECT_DOUBLE_EQ(director.telemetry().telemetry_debit_joules(), 0.0);
   EXPECT_DOUBLE_EQ(
-      director.SafeModeSeconds(odsim::SimTime::Seconds(20)), 0.0);
+      director.telemetry().safe_mode().Seconds(odsim::SimTime::Seconds(20)), 0.0);
   director.Stop();
 }
 
@@ -93,13 +93,13 @@ TEST(ControllerHealthTest, NanSamplesTripSafeModeAndClampFidelity) {
   // Default invalid_sample_limit = 3, one sample per 100 ms: safe mode
   // within half a second of the corruption starting.
   rig.sim.RunUntil(odsim::SimTime::Seconds(7));
-  EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
-  EXPECT_EQ(director.safe_mode_entries(), 1);
-  EXPECT_GE(director.invalid_samples(), 3);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kSafeMode);
+  EXPECT_EQ(director.telemetry().safe_mode().entries(), 1);
+  EXPECT_GE(director.telemetry().invalid_samples(), 3);
   // The energy-conserving fallback: everything at cheapest fidelity.
   EXPECT_EQ(rig.low.current_fidelity(), 0);
   EXPECT_EQ(rig.high.current_fidelity(), 0);
-  EXPECT_GT(director.SafeModeSeconds(odsim::SimTime::Seconds(7)), 0.0);
+  EXPECT_GT(director.telemetry().safe_mode().Seconds(odsim::SimTime::Seconds(7)), 0.0);
   director.Stop();
 }
 
@@ -114,10 +114,10 @@ TEST(ControllerHealthTest, SafeModeFreezesPlanningDespiteSurplus) {
   // A huge surplus would normally drive upgrades; in safe mode the clamp
   // holds every application at the floor for as long as the fault lasts.
   rig.sim.RunUntil(odsim::SimTime::Seconds(60));
-  EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kSafeMode);
   EXPECT_EQ(rig.low.current_fidelity(), 0);
   EXPECT_EQ(rig.high.current_fidelity(), 0);
-  EXPECT_EQ(director.safe_mode_entries(), 1);  // One episode, not many.
+  EXPECT_EQ(director.telemetry().safe_mode().entries(), 1);  // One episode, not many.
   director.Stop();
 }
 
@@ -130,22 +130,22 @@ TEST(ControllerHealthTest, RecoveryHysteresisRestoresFidelity) {
   rig.sim.RunUntil(odsim::SimTime::Seconds(5));
   rig.monitor.telemetry_faults()->set_nan(true);
   rig.sim.RunUntil(odsim::SimTime::Seconds(10));
-  ASSERT_EQ(director.health(), ControllerHealth::kSafeMode);
+  ASSERT_EQ(director.telemetry().health(), ControllerHealth::kSafeMode);
 
   rig.monitor.telemetry_faults()->set_nan(false);
   // Default health_recovery_samples = 8 -> ~0.8 s of valid readings before
   // the clamp lifts and the pre-fault fidelities return.
   rig.sim.RunUntil(odsim::SimTime::Seconds(10.3));
-  EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);  // Not yet.
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kSafeMode);  // Not yet.
   rig.sim.RunUntil(odsim::SimTime::Seconds(15));
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
   EXPECT_EQ(rig.low.current_fidelity(), rig.low.fidelity_spec().highest());
   EXPECT_EQ(rig.high.current_fidelity(), rig.high.fidelity_spec().highest());
   // The episode is closed: safe-mode time stops accruing.
-  double at_recovery = director.SafeModeSeconds(odsim::SimTime::Seconds(15));
+  const TelemetryHealth::Episode& safe_mode = director.telemetry().safe_mode();
+  double at_recovery = safe_mode.Seconds(odsim::SimTime::Seconds(15));
   rig.sim.RunUntil(odsim::SimTime::Seconds(20));
-  EXPECT_DOUBLE_EQ(director.SafeModeSeconds(odsim::SimTime::Seconds(20)),
-                   at_recovery);
+  EXPECT_DOUBLE_EQ(safe_mode.Seconds(odsim::SimTime::Seconds(20)), at_recovery);
   director.Stop();
 }
 
@@ -162,15 +162,15 @@ TEST(ControllerHealthTest, DropoutGapTripsTheWatchdogAndIsBridged) {
   // periods = 0.4 s) must trip safe mode even though OnPowerSample never
   // runs.
   rig.sim.RunUntil(odsim::SimTime::Seconds(12));
-  EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kSafeMode);
 
   rig.monitor.telemetry_faults()->set_dropout(false);
   rig.sim.RunUntil(odsim::SimTime::Seconds(20));
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_GE(director.telemetry_gaps(), 1);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
+  EXPECT_GE(director.telemetry().telemetry_gaps(), 1);
   // The monitor integrated nothing during the outage; the debit bridges
   // the missing ~9.8 W so the residual estimate tracks the truth.
-  EXPECT_GT(director.telemetry_debit_joules(), 0.0);
+  EXPECT_GT(director.telemetry().telemetry_debit_joules(), 0.0);
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(20));
   EXPECT_NEAR(director.EstimatedResidualJoules(), truth, 0.02 * 1.0e4);
   director.Stop();
@@ -188,18 +188,18 @@ TEST(ControllerHealthTest, GaugeDriftIsRejectedAndReCounted) {
   // max_plausible_watts, so every reading is rejected as implausible.
   rig.monitor.telemetry_faults()->set_gauge_scale(3.0);
   rig.sim.RunUntil(odsim::SimTime::Seconds(40));
-  EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
-  EXPECT_GT(director.invalid_samples(), 0);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kSafeMode);
+  EXPECT_GT(director.telemetry().invalid_samples(), 0);
 
   rig.monitor.telemetry_faults()->set_gauge_scale(1.0);
   rig.sim.RunUntil(odsim::SimTime::Seconds(50));
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
   // The monitor integrated the inflated readings (~3x actual); the debit
   // re-counts that span at the smoothed rate.  Without the correction the
   // estimate would be off by ~2 * 9.8 W * 30 s = ~590 J; with it the error
   // must stay a small fraction of that.
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(50));
-  EXPECT_NE(director.telemetry_debit_joules(), 0.0);
+  EXPECT_NE(director.telemetry().telemetry_debit_joules(), 0.0);
   EXPECT_NEAR(director.EstimatedResidualJoules(), truth, 150.0);
   director.Stop();
 }
@@ -228,18 +228,18 @@ TEST(ControllerHealthTest, FrozenFeedDetectedByStaleLimit) {
                         odsim::SimTime::Seconds(600), config);
   director.Start(false);
   sim.RunUntil(odsim::SimTime::Seconds(10));
-  ASSERT_EQ(director.health(), ControllerHealth::kHealthy);
+  ASSERT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
 
   // A wedged driver repeating its last reading: values stay plausible, so
   // only the frozen-feed detector can catch this.
   monitor.telemetry_faults()->set_stale(true);
   sim.RunUntil(odsim::SimTime::Seconds(15));
-  EXPECT_EQ(director.health(), ControllerHealth::kSafeMode);
-  EXPECT_GE(director.invalid_samples(), 1);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kSafeMode);
+  EXPECT_GE(director.telemetry().invalid_samples(), 1);
 
   monitor.telemetry_faults()->set_stale(false);
   sim.RunUntil(odsim::SimTime::Seconds(20));
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
   director.Stop();
 }
 

@@ -95,9 +95,9 @@ TEST(DriftSentinelTest, SubPlausibleDriftPassesValidationSilently) {
   director.Start(false);
   rig.sim.RunUntil(odsim::SimTime::Seconds(400));
   // Mid-fault: every defense is blind.
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_EQ(director.invalid_samples(), 0);
-  EXPECT_EQ(director.safe_mode_entries(), 0);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
+  EXPECT_EQ(director.telemetry().safe_mode().entries(), 0);
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(600));
   double bias = truth - director.EstimatedResidualJoules();
@@ -123,11 +123,11 @@ TEST(DriftSentinelTest, SentinelCatchesSubPlausibleDrift) {
 
   rig.sim.RunUntil(odsim::SimTime::Seconds(300));
   // Caught, while per-sample validation still sees nothing.
-  EXPECT_EQ(director.health(), ControllerHealth::kGaugeDrift);
-  EXPECT_EQ(director.invalid_samples(), 0);
-  EXPECT_EQ(director.safe_mode_entries(), 0);
-  ASSERT_TRUE(director.first_drift_detected().has_value());
-  double detected = director.first_drift_detected()->seconds();
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kGaugeDrift);
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
+  EXPECT_EQ(director.telemetry().safe_mode().entries(), 0);
+  ASSERT_TRUE(director.telemetry().drift().first_entered().has_value());
+  double detected = director.telemetry().drift().first_entered()->seconds();
   EXPECT_GE(detected, 120.0);
   // The 20 s comparison window bounds detection latency: well under a
   // minute after onset.
@@ -136,9 +136,9 @@ TEST(DriftSentinelTest, SentinelCatchesSubPlausibleDrift) {
   // Recovery: the scale reverts at 420 s; 50 in-band samples at 10 Hz lift
   // the verdict within seconds.
   rig.sim.RunUntil(odsim::SimTime::Seconds(440));
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
-  EXPECT_EQ(director.drift_entries(), 1);
-  EXPECT_GT(director.DriftSeconds(odsim::SimTime::Seconds(440)), 200.0);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
+  EXPECT_EQ(director.telemetry().drift().entries(), 1);
+  EXPECT_GT(director.telemetry().drift().Seconds(odsim::SimTime::Seconds(440)), 200.0);
 
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
   double truth = director.TrueResidualJoules(odsim::SimTime::Seconds(600));
@@ -146,7 +146,7 @@ TEST(DriftSentinelTest, SentinelCatchesSubPlausibleDrift) {
   // <= 10% of the ~590 J bias the unsentineled director absorbs.
   EXPECT_LE(error, 60.0);
   // The correction the sentinel charged back is most of that bias.
-  EXPECT_GT(director.drift_correction_joules(), 450.0);
+  EXPECT_GT(director.telemetry().drift_correction_joules(), 450.0);
   director.Stop();
 }
 
@@ -175,15 +175,16 @@ TEST(DriftSentinelTest, SlowRampDriftDetectedWithinBoundedLatency) {
   director.Start(false);
 
   rig.sim.RunUntil(odsim::SimTime::Seconds(600));
-  ASSERT_TRUE(director.first_drift_detected().has_value());
-  double detected = director.first_drift_detected()->seconds();
+  ASSERT_TRUE(director.telemetry().drift().first_entered().has_value());
+  double detected = director.telemetry().drift().first_entered()->seconds();
   // The ramp crosses the 10% divergence band at ~100 s (scale 1.1); the
   // 20 s window average trails it.  Detection must land in that regime —
   // long before the ramp tops out, and never before the band is honestly
   // crossed.
   EXPECT_GE(detected, 95.0);
   EXPECT_LE(detected, 180.0);
-  EXPECT_EQ(director.invalid_samples(), 0);  // Still sub-plausible throughout.
+  // Still sub-plausible throughout.
+  EXPECT_EQ(director.telemetry().invalid_samples(), 0);
 
   // Residual error stays bounded even though the pre-detection creep
   // (scale < 1.1) is below anything the sentinel can see.
@@ -218,8 +219,8 @@ TEST(DriftSentinelTest, LearnedModelSeesCorruptedStreamNotAccounting) {
   double ratio = learned.last_predicted_watts() / true_watts;
   EXPECT_NEAR(ratio, 1.6, 0.05);
   // Gauge and model agree, so no drift verdict — by design.
-  EXPECT_EQ(director.drift_entries(), 0);
-  EXPECT_EQ(director.health(), ControllerHealth::kHealthy);
+  EXPECT_EQ(director.telemetry().drift().entries(), 0);
+  EXPECT_EQ(director.telemetry().health(), ControllerHealth::kHealthy);
   director.Stop();
 }
 

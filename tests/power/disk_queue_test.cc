@@ -83,6 +83,23 @@ TEST(DiskQueueTest, RequestIssuedByACompletionIsServedNext) {
   EXPECT_EQ(rig.pm().queued_disk_accesses(), 0);
 }
 
+TEST(DiskQueueTest, CompletionRequestDoesNotReorderTheQueue) {
+  // A runs with B and C queued; A's completion issues D.  D takes the free
+  // disk at once, and B and C keep their order behind it.
+  Rig rig;
+  std::vector<char> order;
+  rig.pm().AccessDisk(odsim::SimDuration::Seconds(1), [&] {
+    order.push_back('A');
+    rig.pm().AccessDisk(odsim::SimDuration::Seconds(1),
+                        [&] { order.push_back('D'); });
+  });
+  rig.pm().AccessDisk(odsim::SimDuration::Seconds(1), [&] { order.push_back('B'); });
+  rig.pm().AccessDisk(odsim::SimDuration::Seconds(1), [&] { order.push_back('C'); });
+  rig.sim.RunUntil(odsim::SimTime::Seconds(10));
+  EXPECT_EQ(order, (std::vector<char>{'A', 'D', 'B', 'C'}));
+  EXPECT_EQ(rig.pm().queued_disk_accesses(), 0);
+}
+
 TEST(DiskQueueTest, BacklogThatNeverDrainsStaysInOrder) {
   // Requests arrive every 0.5 s and each takes 1 s, so the queue grows
   // for the whole run and never empties; it must stay FIFO throughout.
